@@ -1,0 +1,66 @@
+"""Golden hashes: exact bits of seeded runs and of one CLI export.
+
+Each case runs 10 agents x 60 iterations from seed 3 and hashes, with
+SHA-256, the raw bytes of ``trace`` and ``best_position`` (plus
+``positions`` when recorded).  A refactor that keeps the engine's
+arithmetic and random stream unchanged keeps every hash; a deliberate
+change to either must re-pin them in a change of its own.
+"""
+
+import hashlib
+
+import pytest
+
+from fdopt.cli import main
+from fdopt.core import FDO, IFDO, RunConfig, run
+from fdopt.registry import get_objective
+
+CASES = {
+    "TF1-ifdo": ("TF1", dict(mode=IFDO)),
+    "TF1-fdo": ("TF1", dict(mode=FDO)),
+    "TF1-ifdo-swarm": ("TF1", dict(mode=IFDO, wf_scope="swarm")),
+    "TF1-fdo-wf1": ("TF1", dict(mode=FDO, fdo_wf=1.0)),
+    "TF7-ifdo": ("TF7", dict(mode=IFDO)),
+    "TF9-ifdo": ("TF9", dict(mode=IFDO)),
+    "TF14-ifdo": ("TF14", dict(mode=IFDO)),
+    "CEC01-fdo": ("CEC01", dict(mode=FDO)),
+    "CEC04-ifdo": ("CEC04", dict(mode=IFDO)),
+    "ANTENNA-fdo": ("ANTENNA", dict(mode=FDO)),
+    "ANTENNA-ifdo": ("ANTENNA", dict(mode=IFDO)),
+    "EVAC-ifdo-positions": ("EVAC", dict(mode=IFDO, record_positions=True)),
+}
+
+GOLDEN = {
+    "TF1-ifdo": "aac91c5d4d91fe7f03c38fdc9c97b601536bfb54c76a6938351a24971ca254fa",
+    "TF1-fdo": "ce29502f63c21bbb260367a0584720983b9d8fa5f6e5896c67105babbc5f703a",
+    "TF1-ifdo-swarm": "ea02d7c69ed39ffa5d8bcf36b8a263dde26b55394ff15cddaad2a475826b4b64",
+    "TF1-fdo-wf1": "26acbe213d3eadd96f35aa90c205c42737a51aa0347c075f80ea1f7f4cb37ecd",
+    "TF7-ifdo": "95a0195c53514d7c04e3e2f435a41f09c4362e1995082ddd165f738da7846b31",
+    "TF9-ifdo": "047f543447fd151d600680129b9ebf6dee1587b8ffa27c3bd60f86a3af56ce2f",
+    "TF14-ifdo": "d7f31d0d1dca88511848b7ec68b61c172c39940c8461bed4be5f4790310e3953",
+    "CEC01-fdo": "9d0b740adcb6e4a4130a576292dc708725fc16c2cb21d7b3b23e023f86aa22d5",
+    "CEC04-ifdo": "b7a4ea0b703326140950bc32d6265bf034f79a9c2ee2f14aa20be534fcc4f771",
+    "ANTENNA-fdo": "cade308b1227443b13914438373da9a88f0f0002670ae47a0eaa884d3d3deadc",
+    "ANTENNA-ifdo": "aabb5fd2825b7d139fbc301c57778ecaf7bb8ff54632645f77985534e7473176",
+    "EVAC-ifdo-positions": "1bf880e599f07b71ca56ce5e31ad79eecee142a5d66b8da4f2477cfd983d3460",
+}
+
+BENCH_ARGV = ["bench", "--suite", "cec2019", "--runs", "1", "--agents", "4", "--iters", "3"]
+BENCH_CSV = "7c8a3c5618ff7795e179667fa0669e3f42857dbcb0461763a3d7ff7e9152d1e6"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_bits(case):
+    objective_id, options = CASES[case]
+    config = RunConfig(population=10, iterations=60, seed=3, **options)
+    record = run(config, get_objective(objective_id))
+    digest = hashlib.sha256(record.trace.tobytes() + record.best_position.tobytes())
+    if record.positions is not None:
+        digest.update(record.positions.tobytes())
+    assert digest.hexdigest() == GOLDEN[case]
+
+
+def test_bench_csv_bytes(tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    assert main([*BENCH_ARGV, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCH_CSV
