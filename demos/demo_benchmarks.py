@@ -26,7 +26,7 @@ for fid in FUNCTIONS:
             population=POPULATION,
             iterations=ITERATIONS,
         )
-        result = run_experiment(config, objective, jobs=2)
+        result = run_experiment(config, objective)
         results.append(result)
         print(f"{fid} {mode}: mean={result.mean:.6e} std={result.std:.6e}")
 

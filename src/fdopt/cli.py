@@ -24,7 +24,6 @@ def _add_common(parser, agents=30, iters=500):
     parser.add_argument("--iters", type=int, default=iters)
     parser.add_argument("--runs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--wf-scope", choices=["scout", "swarm"], default="scout")
     parser.add_argument("--fdo-wf", type=float, choices=[0.0, 1.0], default=0.0)
 
@@ -92,7 +91,7 @@ def cmd_run(args):
         print(f"error: unknown objective {args.function!r}; see 'fdopt list'", file=sys.stderr)
         return USAGE_ERROR
     config = _experiment(args, args.function, args.algo, record_positions=bool(args.history))
-    result = harness.run_experiment(config, objective, jobs=args.jobs)
+    result = harness.run_experiment(config, objective)
     print(
         f"{args.function} {args.algo} runs={args.runs} "
         f"mean={result.mean:.10e} std={result.std:.10e}"
@@ -127,7 +126,7 @@ def cmd_bench(args):
         for spec in suite:
             for mode in (FDO, IFDO):
                 config = _experiment(args, spec.id, mode)
-                result = harness.run_experiment(config, spec, jobs=args.jobs)
+                result = harness.run_experiment(config, spec)
                 results.append(result)
                 print(
                     f"{spec.id} {mode} mean={result.mean:.10e} std={result.std:.10e}",
@@ -156,7 +155,7 @@ def cmd_compare(args):
         print(f"error: unknown objective {args.function!r}; see 'fdopt list'", file=sys.stderr)
         return USAGE_ERROR
     results = [
-        harness.run_experiment(_experiment(args, args.function, mode), objective, jobs=args.jobs)
+        harness.run_experiment(_experiment(args, args.function, mode), objective)
         for mode in (FDO, IFDO)
     ]
     print(harness.format_comparison(harness.compare(results)))
@@ -166,7 +165,7 @@ def cmd_compare(args):
 def cmd_antenna(args):
     objective = get_objective("ANTENNA")
     config = _experiment(args, "ANTENNA", args.algo)
-    result = harness.run_experiment(config, objective, jobs=args.jobs)
+    result = harness.run_experiment(config, objective)
     record = min(result.records, key=lambda r: r.best_fitness)
     positions = record.best_position
     marker = "" if applications.is_feasible(positions) else " INFEASIBLE"
@@ -189,7 +188,7 @@ def cmd_evac(args):
         return IO_ERROR
     objective = applications.evac_objective(scenario)
     config = _experiment(args, "EVAC", args.algo)
-    result = harness.run_experiment(config, objective, jobs=args.jobs)
+    result = harness.run_experiment(config, objective)
     record = min(result.records, key=lambda r: r.best_fitness)
     door = applications.perimeter_point(record.best_position[0], scenario.width, scenario.height)
     print(f"exit arclength: {record.best_position[0]:.6f}")

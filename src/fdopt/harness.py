@@ -8,7 +8,6 @@ reconstructed in isolation.  Exports use 17-significant-digit decimals so
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,15 +64,10 @@ class ExperimentResult:
         return np.array([r.best_fitness for r in self.records])
 
 
-def run_experiment(config, objective, jobs=1):
-    """Execute ``config.runs`` independent runs and aggregate them."""
+def run_experiment(config, objective):
+    """Execute ``config.runs`` independent runs, one after another, and aggregate them."""
     start = time.perf_counter()
-    configs = [config.run_config(k) for k in range(config.runs)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda c: run(c, objective), configs))
-    else:
-        records = [run(c, objective) for c in configs]
+    records = [run(config.run_config(k), objective) for k in range(config.runs)]
     return ExperimentResult(
         config=config, records=records, total_wall_time_s=time.perf_counter() - start
     )
