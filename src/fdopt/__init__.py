@@ -11,7 +11,6 @@ from .core import (
     Bounds,
     RunConfig,
     RunRecord,
-    ScoutBee,
     SwarmState,
     first_best_iteration,
     init_population,
@@ -28,7 +27,6 @@ __all__ = [
     "Bounds",
     "RunConfig",
     "RunRecord",
-    "ScoutBee",
     "SwarmState",
     "ObjectiveSpec",
     "ExperimentConfig",

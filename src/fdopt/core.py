@@ -9,6 +9,7 @@ single seeded ``numpy.random.Generator`` so a run is fully reproducible.
 
 import time
 from dataclasses import dataclass, field
+from math import gamma, pi, sin
 
 import numpy as np
 
@@ -24,8 +25,11 @@ LEVY_SCALE = 0.01
 FW_TOL = 1e-12
 # cohesion components smaller than this contribute nothing to the proposal
 COHESION_TOL = 1e-12
-
-_MANTEGNA_SIGMA = None
+# scale of the numerator normal in Mantegna's algorithm for LEVY_BETA
+MANTEGNA_SIGMA = (
+    gamma(1.0 + LEVY_BETA) * sin(pi * LEVY_BETA / 2.0)
+    / (gamma((1.0 + LEVY_BETA) / 2.0) * LEVY_BETA * 2.0 ** ((LEVY_BETA - 1.0) / 2.0))
+) ** (1.0 / LEVY_BETA)
 
 
 @dataclass
@@ -52,15 +56,6 @@ class Bounds:
     @property
     def dimension(self):
         return self.lower.size
-
-
-@dataclass
-class ScoutBee:
-    """One search agent: position, last accepted movement, cached fitness."""
-
-    position: np.ndarray
-    pace: np.ndarray
-    fitness: float
 
 
 @dataclass
@@ -100,8 +95,7 @@ class RunConfig:
 class SwarmState:
     """Full optimizer state for one run.
 
-    Positions, paces and fitness are stored as arrays indexed by scout;
-    the ``scouts`` property exposes the per-agent view.
+    Positions, paces and fitness are stored as arrays indexed by scout.
     """
 
     positions: np.ndarray  # (p, d)
@@ -119,13 +113,6 @@ class SwarmState:
     def population(self):
         return self.positions.shape[0]
 
-    @property
-    def scouts(self):
-        return [
-            ScoutBee(self.positions[i].copy(), self.paces[i].copy(), float(self.fitness[i]))
-            for i in range(self.population)
-        ]
-
 
 @dataclass
 class RunRecord:
@@ -138,21 +125,9 @@ class RunRecord:
     positions: np.ndarray | None = None  # (iterations, p, d) when recorded
 
 
-def _mantegna_sigma(beta=LEVY_BETA):
-    global _MANTEGNA_SIGMA
-    if _MANTEGNA_SIGMA is None:
-        from math import gamma, pi, sin
-
-        num = gamma(1.0 + beta) * sin(pi * beta / 2.0)
-        den = gamma((1.0 + beta) / 2.0) * beta * 2.0 ** ((beta - 1.0) / 2.0)
-        _MANTEGNA_SIGMA = (num / den) ** (1.0 / beta)
-    return _MANTEGNA_SIGMA
-
-
 def levy_raw(rng, size=None):
     """Raw Mantegna heavy-tailed draw(s) with stability index ``LEVY_BETA``."""
-    sigma = _mantegna_sigma()
-    u = rng.normal(0.0, sigma, size=size)
+    u = rng.normal(0.0, MANTEGNA_SIGMA, size=size)
     v = rng.normal(0.0, 1.0, size=size)
     return u / np.abs(v) ** (1.0 / LEVY_BETA)
 
