@@ -120,9 +120,7 @@ def cmd_bench(args):
         if args.out:
             out_fh = open(args.out, "w", newline="")
             writer = csv.writer(out_fh)
-            writer.writerow(
-                ["objective", "mode", "runs", "population", "iterations", "mean", "std"]
-            )
+            writer.writerow(harness.SUMMARY_COLUMNS)
         for spec in suite:
             for mode in (FDO, IFDO):
                 config = _experiment(args, spec.id, mode)
@@ -133,10 +131,7 @@ def cmd_bench(args):
                     flush=True,
                 )
                 if writer is not None:
-                    writer.writerow(
-                        [spec.id, mode, args.runs, args.agents, args.iters,
-                         f"{result.mean:.17g}", f"{result.std:.17g}"]
-                    )
+                    writer.writerow(harness.summary_csv_row(result))
                     out_fh.flush()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

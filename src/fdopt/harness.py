@@ -7,7 +7,6 @@ reconstructed in isolation.  Exports use 17-significant-digit decimals so
 
 import csv
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from .core import RunConfig, run
 
 _FMT = "{:.17g}"
+SUMMARY_COLUMNS = ("objective", "mode", "runs", "population", "iterations", "mean", "std")
 
 
 @dataclass
@@ -51,7 +51,6 @@ class ExperimentResult:
     records: list
     mean: float = field(init=False)
     std: float = field(init=False)
-    total_wall_time_s: float = 0.0
 
     def __post_init__(self):
         bests = self.final_bests
@@ -66,25 +65,19 @@ class ExperimentResult:
 
 def run_experiment(config, objective):
     """Execute ``config.runs`` independent runs, one after another, and aggregate them."""
-    start = time.perf_counter()
     records = [run(config.run_config(k), objective) for k in range(config.runs)]
-    return ExperimentResult(
-        config=config, records=records, total_wall_time_s=time.perf_counter() - start
-    )
+    return ExperimentResult(config=config, records=records)
 
 
 def _summary_row(result):
     c = result.config
-    return {
-        "objective": c.objective_id,
-        "mode": c.mode,
-        "runs": c.runs,
-        "population": c.population,
-        "iterations": c.iterations,
-        "mean": result.mean,
-        "std": result.std,
-        "wall_ms": result.total_wall_time_s * 1e3,
-    }
+    values = (c.objective_id, c.mode, c.runs, c.population, c.iterations, result.mean, result.std)
+    return dict(zip(SUMMARY_COLUMNS, values))
+
+
+def summary_csv_row(result):
+    """One summary CSV row in ``SUMMARY_COLUMNS`` order, floats at 17 significant digits."""
+    return [_FMT.format(v) if isinstance(v, float) else v for v in _summary_row(result).values()]
 
 
 def export_results(result, format, path, kind="summary"):
@@ -99,15 +92,14 @@ def export_results(result, format, path, kind="summary"):
         raise ValueError("kind must be 'summary' or 'trace'")
     try:
         if kind == "summary":
-            row = _summary_row(result)
             if format == "csv":
                 with open(path, "w", newline="") as fh:
                     writer = csv.writer(fh)
-                    writer.writerow(row.keys())
-                    writer.writerow(_format_values(row.values()))
+                    writer.writerow(SUMMARY_COLUMNS)
+                    writer.writerow(summary_csv_row(result))
             else:
                 with open(path, "w") as fh:
-                    json.dump(row, fh, indent=2)
+                    json.dump(_summary_row(result), fh, indent=2)
                     fh.write("\n")
         else:
             if format == "csv":
@@ -150,10 +142,6 @@ def export_search_history(result, path):
                         )
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
-
-
-def _format_values(values):
-    return [_FMT.format(v) if isinstance(v, float) else v for v in values]
 
 
 def compare(results):

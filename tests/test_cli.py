@@ -60,6 +60,18 @@ def test_run_output_files(tmp_path, capsys):
     assert len(rows) - 1 == 2 * 10 * 5
 
 
+def test_run_output_files_byte_identical(tmp_path, capsys):
+    outputs = []
+    for attempt in ("a", "b"):
+        paths = [tmp_path / f"{kind}-{attempt}.csv" for kind in ("summary", "trace", "history")]
+        argv = ["run", "--function", "TF9", "--algo", "ifdo", "--runs", "2", "--seed", "4", *FAST]
+        for flag, path in zip(("--out", "--trace", "--history"), paths):
+            argv += [flag, str(path)]
+        assert main(argv) == 0
+        outputs.append([path.read_bytes() for path in paths])
+    assert outputs[0] == outputs[1]
+
+
 def test_run_io_error(tmp_path, capsys):
     code = main(
         ["run", "--function", "TF1", "--algo", "ifdo", *FAST,
