@@ -40,14 +40,18 @@ class AntennaProblem:
         self._cos_diff = cos_t - np.cos(np.radians(self.steering_angle_deg))
 
 
+def _array_factor(u, positions):
+    """Array factor at each offset ``u = cos(theta) - cos(steering)`` of a 1-D array."""
+    x = np.asarray(positions, dtype=float)
+    return np.sum(np.cos(np.outer(u, 2.0 * np.pi * x)), axis=1) + np.cos(
+        u * 2.0 * np.pi * FIXED_ELEMENT
+    )
+
+
 def array_factor(theta_deg, positions, steering_angle_deg=90.0):
     """Array factor of the symmetric array at one angle (degrees)."""
     u = np.cos(np.radians(theta_deg)) - np.cos(np.radians(steering_angle_deg))
-    positions = np.asarray(positions, dtype=float)
-    return float(
-        np.sum(np.cos(u * 2.0 * np.pi * positions))
-        + np.cos(u * 2.0 * np.pi * FIXED_ELEMENT)
-    )
+    return float(_array_factor(np.array([u]), positions)[0])
 
 
 def spacing_violation(candidate):
@@ -72,11 +76,7 @@ def antenna_fitness(candidate, problem):
     violation = spacing_violation(candidate)
     if violation > 0.0:
         return PENALTY_WEIGHT * violation + PENALTY_OFFSET
-    x = np.asarray(candidate, dtype=float)
-    u = problem._cos_diff[problem.sidelobe_mask]
-    af = np.sum(np.cos(np.outer(u, 2.0 * np.pi * x)), axis=1) + np.cos(
-        u * 2.0 * np.pi * FIXED_ELEMENT
-    )
+    af = _array_factor(problem._cos_diff[problem.sidelobe_mask], candidate)
     magnitude = np.maximum(np.abs(af), 1e-300)
     return float(np.max(20.0 * np.log10(magnitude)))
 
@@ -145,18 +145,19 @@ def perimeter_point(s, width, height):
 
 
 def evac_distance(p1, p2):
+    """Euclidean distance between points, elementwise over leading axes."""
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    return float(np.hypot(p2[0] - p1[0], p2[1] - p1[1]))
+    return np.hypot(p2[..., 0] - p1[..., 0], p2[..., 1] - p1[..., 1])
 
 
 def evac_time(dist, desired_speed, formula="paper"):
-    """Evacuation time of one pedestrian.
+    """Evacuation time of one pedestrian, elementwise over arrays.
 
     "paper" multiplies half the distance by the desired speed; "physical"
     is the dimensionally conventional distance over speed.
     """
-    if desired_speed <= 0:
+    if np.any(np.asarray(desired_speed) <= 0):
         raise ValueError("desired_speed must be positive")
     if formula == "paper":
         return dist / 2.0 * desired_speed
@@ -168,13 +169,8 @@ def evac_time(dist, desired_speed, formula="paper"):
 def evac_fitness(exit_parameter, scenario):
     """Mean evacuation time for an exit at the given perimeter arclength."""
     door = perimeter_point(exit_parameter, scenario.width, scenario.height)
-    deltas = scenario.positions - door
-    dist = np.hypot(deltas[:, 0], deltas[:, 1])
-    if scenario.time_formula == "paper":
-        times = dist / 2.0 * scenario.desired_speeds
-    else:
-        times = dist / scenario.desired_speeds
-    return float(np.mean(times))
+    dist = evac_distance(door, scenario.positions)
+    return float(np.mean(evac_time(dist, scenario.desired_speeds, scenario.time_formula)))
 
 
 def evac_objective(scenario):
