@@ -103,6 +103,7 @@ class EvacScenario:
     time_formula: str = "paper"  # "paper" or "physical"
 
     def __post_init__(self):
+        _check_area(self.width, self.height)
         self.positions = np.asarray(self.positions, dtype=float)
         self.desired_speeds = np.asarray(self.desired_speeds, dtype=float)
         if np.any(self.desired_speeds <= 0):
@@ -117,10 +118,18 @@ class EvacScenario:
         return 2.0 * (self.width + self.height)
 
 
+def _check_area(width, height):
+    if not (0.0 < width < np.inf and 0.0 < height < np.inf):
+        raise ValueError(
+            f"area width and height must be positive and finite, got {width} x {height}"
+        )
+
+
 def build_scenario(width, height, count, seed, time_formula="paper"):
     """Random scenario: uniform positions, uniform[0.6, 1.4] m/s desired speeds."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_area(width, height)
     rng = np.random.default_rng(seed)
     positions = rng.uniform([0.0, 0.0], [width, height], size=(count, 2))
     speeds = rng.uniform(0.6, 1.4, size=count)
@@ -190,12 +199,37 @@ def save_scenario(scenario, path):
             fh.write(f"{x:.17g} {y:.17g} {v:.17g}\n")
 
 
+def _finite_numbers(fields, count, where):
+    try:
+        values = [float(f) for f in fields]
+    except ValueError:
+        values = []
+    if len(values) != count or not all(np.isfinite(values)):
+        raise ValueError(f"{where}: expected {count} finite numbers, got {' '.join(fields)!r}")
+    return values
+
+
 def load_scenario(path, time_formula="paper"):
+    """Read a :func:`save_scenario` file.
+
+    Raises ValueError naming the file, and the line where there is one, for
+    a malformed header or row, an empty crowd or an invalid scenario.
+    """
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "area":
-            raise ValueError(f"{path}: expected header 'area W H'")
-        width, height = float(header[1]), float(header[2])
-        rows = [list(map(float, line.split())) for line in fh if line.strip()]
-    data = np.asarray(rows, dtype=float)
-    return EvacScenario(width, height, data[:, :2], data[:, 2], time_formula)
+        lines = fh.read().splitlines()
+    header = lines[0].split() if lines else []
+    if header[:1] != ["area"]:
+        raise ValueError(f"{path}:1: expected header 'area W H'")
+    width, height = _finite_numbers(header[1:], 2, f"{path}:1")
+    rows = [
+        _finite_numbers(line.split(), 3, f"{path}:{number}")
+        for number, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    ]
+    if not rows:
+        raise ValueError(f"{path}: no pedestrian rows after the header")
+    data = np.array(rows)
+    try:
+        return EvacScenario(width, height, data[:, :2], data[:, 2], time_formula)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -19,10 +19,20 @@ USAGE_ERROR = 2
 IO_ERROR = 3
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(parser, agents=30, iters=500):
-    parser.add_argument("--agents", type=int, default=agents)
-    parser.add_argument("--iters", type=int, default=iters)
-    parser.add_argument("--runs", type=int, default=1)
+    parser.add_argument("--agents", type=_positive_int, default=agents)
+    parser.add_argument("--iters", type=_positive_int, default=iters)
+    parser.add_argument("--runs", type=_positive_int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--wf-scope", choices=["scout", "swarm"], default="scout")
     parser.add_argument("--fdo-wf", type=float, choices=[0.0, 1.0], default=0.0)
@@ -59,7 +69,7 @@ def build_parser():
     p_evac.add_argument("--algo", choices=[FDO, IFDO], default=IFDO)
     p_evac.add_argument("--width", type=float, default=50.0)
     p_evac.add_argument("--height", type=float, default=50.0)
-    p_evac.add_argument("--count", type=int, default=200)
+    p_evac.add_argument("--count", type=_positive_int, default=200)
     p_evac.add_argument("--formula", choices=["paper", "physical"], default="paper")
     p_evac.add_argument("--scenario-seed", type=int, default=0)
     p_evac.add_argument("--scenario-file", help="load a scenario instead of generating one")
@@ -181,6 +191,9 @@ def cmd_evac(args):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     objective = applications.evac_objective(scenario)
     config = _experiment(args, "EVAC", args.algo)
     result = harness.run_experiment(config, objective)

@@ -146,3 +146,51 @@ def test_evac_scenario_file(tmp_path, capsys):
 def test_evac_missing_scenario_file(capsys):
     code = main(["evac", "--scenario-file", "/nonexistent/scene.txt"])
     assert code == IO_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--function", "TF1", "--algo", "ifdo", "--agents", "0"],
+        ["run", "--function", "TF1", "--algo", "ifdo", "--agents", "-3"],
+        ["run", "--function", "TF1", "--algo", "ifdo", "--iters", "0"],
+        ["run", "--function", "TF1", "--algo", "ifdo", "--runs", "0"],
+        ["run", "--function", "TF1", "--algo", "ifdo", "--agents", "many"],
+        ["bench", "--suite", "cec2019", "--runs", "0"],
+        ["compare", "--function", "TF1", "--agents", "0"],
+        ["antenna", "--iters", "-1"],
+        ["evac", "--count", "0"],
+    ],
+)
+def test_non_positive_counts_are_usage_errors(argv, capsys):
+    assert main(argv) == USAGE_ERROR
+    assert "error: argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("area 10 10\n1 2\n", ":2: expected 3 finite numbers"),
+        ("area 10 10\n1 2 1\n3 4 fast\n", ":3: expected 3 finite numbers"),
+        ("area 10 10\n1 2 nan\n", ":2: expected 3 finite numbers"),
+        ("area 10 10\n", "no pedestrian rows"),
+        ("", ":1: expected header"),
+        ("room 10 10\n1 2 1\n", ":1: expected header"),
+        ("area 10\n1 2 1\n", ":1: expected 2 finite numbers"),
+        ("area 10 10\n1 20 1\n", "outside the area"),
+        ("area 10 10\n1 2 -1\n", "speeds must be positive"),
+    ],
+)
+def test_evac_malformed_scenario_file(tmp_path, capsys, body, message):
+    path = tmp_path / "scene.txt"
+    path.write_text(body)
+    assert main(["evac", "--scenario-file", str(path), *FAST]) == USAGE_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}") and message in err[0]
+
+
+@pytest.mark.parametrize("area", [["--width", "-5"], ["--height", "0"], ["--width", "inf"]])
+def test_evac_invalid_area(area, capsys):
+    assert main(["evac", *area, *FAST]) == USAGE_ERROR
+    assert capsys.readouterr().err.startswith("error: area width and height")
