@@ -214,6 +214,11 @@ def enforce_bounds(position, bounds, rng):
     A violated coordinate is replaced by the crossed boundary scaled by a
     fresh uniform draw; a final clamp guarantees feasibility for boxes where
     the scaled boundary itself leaves the box.
+
+    That clamp biases repairs on boxes that do not contain zero: with
+    ``lower > 0`` (ANTENNA, EVAC) every lower-side repair lands exactly on
+    ``lower``, and with ``upper < 0`` every upper-side repair lands exactly
+    on ``upper``.  The rule is kept as published.
     """
     out = np.array(position, dtype=float)
     lb, ub = bounds.lower, bounds.upper

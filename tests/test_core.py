@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fdopt import core
 from fdopt.core import (
@@ -253,6 +254,32 @@ def test_enforce_bounds_always_feasible():
     for value in (5.0, -3.0, 0.01, 100.0):
         out = enforce_bounds(np.array([value]), bounds, rng)
         assert bounds.lower[0] <= out[0] <= bounds.upper[0]
+
+
+@st.composite
+def box_and_point(draw):
+    """A box anywhere on the line (often entirely above or below zero) and a point."""
+    d = draw(st.integers(1, 4))
+    coords = st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)
+    widths = st.lists(st.floats(1e-3, 1e6), min_size=d, max_size=d)
+    lower = np.array(draw(coords))
+    bounds = Bounds(lower, lower + np.array(draw(widths)))
+    return bounds, 10.0 * np.array(draw(coords))
+
+
+@given(box_and_point(), st.integers(0, 2**32 - 1))
+def test_enforce_bounds_feasible_on_any_box(case, seed):
+    bounds, x = case
+    lb, ub = bounds.lower, bounds.upper
+    out = enforce_bounds(x, bounds, np.random.default_rng(seed))
+    assert np.all((lb <= out) & (out <= ub))
+    inside = (lb <= x) & (x <= ub)
+    np.testing.assert_array_equal(out[inside], x[inside])
+    # the documented repair bias of boxes that do not contain zero
+    pinned_low = (x < lb) & (lb > 0)
+    pinned_high = (x > ub) & (ub < 0)
+    np.testing.assert_array_equal(out[pinned_low], lb[pinned_low])
+    np.testing.assert_array_equal(out[pinned_high], ub[pinned_high])
 
 
 # -- weight factor -----------------------------------------------------------
