@@ -41,7 +41,7 @@ class AntennaProblem:
 
 
 def _array_factor(u, positions):
-    """Array factor at each offset ``u = cos(theta) - cos(steering)`` of a 1-D array."""
+    """Array factor at every entry of the 1-D array ``u = cos(theta) - cos(steering)``."""
     x = np.asarray(positions, dtype=float)
     return np.sum(np.cos(np.outer(u, 2.0 * np.pi * x)), axis=1) + np.cos(
         u * 2.0 * np.pi * FIXED_ELEMENT
