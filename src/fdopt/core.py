@@ -218,7 +218,7 @@ def enforce_bounds(position, bounds, rng):
     That clamp biases repairs on boxes that do not contain zero: with
     ``lower > 0`` (ANTENNA, EVAC) every lower-side repair lands exactly on
     ``lower``, and with ``upper < 0`` every upper-side repair lands exactly
-    on ``upper``.  The rule is kept as published.
+    on ``upper``.  The rule itself is kept unchanged.
     """
     out = np.array(position, dtype=float)
     lb, ub = bounds.lower, bounds.upper
