@@ -37,33 +37,67 @@ class AntennaProblem:
         self.theta_grid = np.arange(0.0, 180.0 + 1e-9, self.theta_step_deg)
         cos_t = np.cos(np.radians(self.theta_grid))
         self.sidelobe_mask = np.abs(cos_t) >= MAIN_LOBE_COS
-        self._cos_diff = cos_t - np.cos(np.radians(self.steering_angle_deg))
+        cos_diff = cos_t - np.cos(np.radians(self.steering_angle_deg))
+        # the sidelobe angles and the fixed element's term there do not
+        # depend on the candidate, so every evaluation reuses them
+        self.sidelobe_u = cos_diff[self.sidelobe_mask]
+        self.sidelobe_fixed_term = _fixed_element_term(self.sidelobe_u)
 
 
-def _array_factor(u, positions):
-    """Array factor at every entry of the 1-D array ``u = cos(theta) - cos(steering)``."""
+def _fixed_element_term(u):
+    """Contribution of the fixed outermost element at every entry of ``u``."""
+    return np.cos(u * 2.0 * np.pi * FIXED_ELEMENT)
+
+
+def _array_factor(u, fixed_term, positions):
+    """Array factor at every entry of the 1-D array ``u = cos(theta) - cos(steering)``.
+
+    ``fixed_term`` is ``_fixed_element_term(u)``.  The free elements' cosines
+    are added in element order, then the fixed element's.
+    """
     x = np.asarray(positions, dtype=float)
-    return np.sum(np.cos(np.outer(u, 2.0 * np.pi * x)), axis=1) + np.cos(
-        u * 2.0 * np.pi * FIXED_ELEMENT
-    )
+    return np.cos(np.multiply.outer(2.0 * np.pi * x, u)).sum(axis=0) + fixed_term
 
 
 def array_factor(theta_deg, positions, steering_angle_deg=90.0):
     """Array factor of the symmetric array at one angle (degrees)."""
-    u = np.cos(np.radians(theta_deg)) - np.cos(np.radians(steering_angle_deg))
-    return float(_array_factor(np.array([u]), positions)[0])
+    u = np.array([np.cos(np.radians(theta_deg)) - np.cos(np.radians(steering_angle_deg))])
+    return float(_array_factor(u, _fixed_element_term(u), positions)[0])
 
 
 def spacing_violation(candidate):
-    """Total constraint violation: zero iff the candidate is feasible."""
-    x = np.asarray(candidate, dtype=float)
+    """Total constraint violation: zero iff the candidate is feasible.
+
+    The shortfalls ``d`` are clipped at zero and summed in groups:
+    positions below ``MIN_POSITION``, positions above ``MAX_POSITION``,
+    then, for each free element in turn, its gaps to every later element
+    (the fixed element last) below ``MIN_SPACING``.  Each group is summed
+    from -0.0 in index order and the groups are added to 0.0 in that
+    order, which is how numpy sums arrays of fewer than 8 elements, so the
+    result equals the per-group ``np.sum(np.maximum(0.0, d))`` bit for
+    bit.  Plain Python floats are much cheaper than numpy calls on 4
+    elements.  ``0.0 if d <= 0.0 else d`` keeps a NaN, as ``np.maximum``
+    does, so a NaN coordinate gives a NaN total.
+    """
+    x = np.asarray(candidate, dtype=float).tolist()
     total = 0.0
-    total += float(np.sum(np.maximum(0.0, MIN_POSITION - x)))
-    total += float(np.sum(np.maximum(0.0, x - MAX_POSITION)))
-    elements = np.append(x, FIXED_ELEMENT)
-    for i in range(elements.size - 1):
-        gaps = np.abs(elements[i + 1 :] - elements[i])
-        total += float(np.sum(np.maximum(0.0, MIN_SPACING - gaps)))
+    group = -0.0
+    for xi in x:
+        d = MIN_POSITION - xi
+        group += 0.0 if d <= 0.0 else d
+    total += group
+    group = -0.0
+    for xi in x:
+        d = xi - MAX_POSITION
+        group += 0.0 if d <= 0.0 else d
+    total += group
+    elements = x + [FIXED_ELEMENT]
+    for i, xi in enumerate(x):
+        group = -0.0
+        for xj in elements[i + 1 :]:
+            d = MIN_SPACING - abs(xj - xi)
+            group += 0.0 if d <= 0.0 else d
+        total += group
     return total
 
 
@@ -76,9 +110,9 @@ def antenna_fitness(candidate, problem):
     violation = spacing_violation(candidate)
     if violation > 0.0:
         return PENALTY_WEIGHT * violation + PENALTY_OFFSET
-    af = _array_factor(problem._cos_diff[problem.sidelobe_mask], candidate)
+    af = _array_factor(problem.sidelobe_u, problem.sidelobe_fixed_term, candidate)
     magnitude = np.maximum(np.abs(af), 1e-300)
-    return float(np.max(20.0 * np.log10(magnitude)))
+    return float((20.0 * np.log10(magnitude)).max())
 
 
 def antenna_objective(problem=None):
@@ -93,6 +127,10 @@ def antenna_objective(problem=None):
 
 # -- evacuation --------------------------------------------------------------
 
+# "paper" multiplies half the distance by the desired speed; "physical"
+# is the dimensionally conventional distance over speed
+TIME_FORMULAS = ("paper", "physical")
+
 
 @dataclass
 class EvacScenario:
@@ -100,10 +138,14 @@ class EvacScenario:
     height: float
     positions: np.ndarray  # (n, 2)
     desired_speeds: np.ndarray  # (n,)
-    time_formula: str = "paper"  # "paper" or "physical"
+    time_formula: str = "paper"  # one of TIME_FORMULAS
 
     def __post_init__(self):
         _check_area(self.width, self.height)
+        if self.time_formula not in TIME_FORMULAS:
+            raise ValueError(
+                f"time formula must be one of {TIME_FORMULAS}, got {self.time_formula!r}"
+            )
         self.positions = np.asarray(self.positions, dtype=float)
         self.desired_speeds = np.asarray(self.desired_speeds, dtype=float)
         if np.any(self.desired_speeds <= 0):
@@ -161,18 +203,15 @@ def evac_distance(p1, p2):
 
 
 def evac_time(dist, desired_speed, formula="paper"):
-    """Evacuation time of one pedestrian, elementwise over arrays.
-
-    "paper" multiplies half the distance by the desired speed; "physical"
-    is the dimensionally conventional distance over speed.
-    """
+    """Evacuation time of one pedestrian, elementwise over arrays, by one of
+    ``TIME_FORMULAS``."""
     if np.any(np.asarray(desired_speed) <= 0):
         raise ValueError("desired_speed must be positive")
     if formula == "paper":
         return dist / 2.0 * desired_speed
     if formula == "physical":
         return dist / desired_speed
-    raise ValueError("formula must be 'paper' or 'physical'")
+    raise ValueError(f"formula must be one of {TIME_FORMULAS}, got {formula!r}")
 
 
 def evac_fitness(exit_parameter, scenario):

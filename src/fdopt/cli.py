@@ -19,21 +19,30 @@ USAGE_ERROR = 2
 IO_ERROR = 3
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low, kind):
+    """argparse type for an integer of at least ``low``, named ``kind`` in errors."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _add_common(parser, agents=30, iters=500):
     parser.add_argument("--agents", type=_positive_int, default=agents)
     parser.add_argument("--iters", type=_positive_int, default=iters)
     parser.add_argument("--runs", type=_positive_int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("--wf-scope", choices=["scout", "swarm"], default="scout")
     parser.add_argument("--fdo-wf", type=float, choices=[0.0, 1.0], default=0.0)
 
@@ -70,8 +79,8 @@ def build_parser():
     p_evac.add_argument("--width", type=float, default=50.0)
     p_evac.add_argument("--height", type=float, default=50.0)
     p_evac.add_argument("--count", type=_positive_int, default=200)
-    p_evac.add_argument("--formula", choices=["paper", "physical"], default="paper")
-    p_evac.add_argument("--scenario-seed", type=int, default=0)
+    p_evac.add_argument("--formula", choices=applications.TIME_FORMULAS, default="paper")
+    p_evac.add_argument("--scenario-seed", type=_non_negative_int, default=0)
     p_evac.add_argument("--scenario-file", help="load a scenario instead of generating one")
     _add_common(p_evac, agents=20, iters=200)
 

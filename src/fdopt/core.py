@@ -9,7 +9,7 @@ single seeded ``numpy.random.Generator`` so a run is fully reproducible.
 
 import time
 from dataclasses import dataclass, field
-from math import gamma, pi, sin
+from math import gamma, isfinite, pi, sin
 
 import numpy as np
 
@@ -135,7 +135,7 @@ def levy_raw(rng, size=None):
 def levy_random(rng, size=None):
     """Heavy-tailed random value(s) scaled and clamped into [-1, 1]."""
     value = LEVY_SCALE * levy_raw(rng, size=size)
-    return np.clip(value, -1.0, 1.0) if size is not None else float(min(1.0, max(-1.0, value)))
+    return value.clip(-1.0, 1.0) if size is not None else min(1.0, max(-1.0, float(value)))
 
 
 def compute_fitness_weight(best_fitness, current_fitness, wf, mode):
@@ -191,8 +191,9 @@ def neighborhood(scout_index, swarm, nl):
     if count == 0:
         zero = np.zeros_like(own)
         return NeighborhoodContext(nl, 0, zero, zero.copy())
-    alignment = swarm.paces[mask].mean(axis=0)
-    cohesion = swarm.positions[mask].mean(axis=0) - own
+    # sum / count is exactly what .mean(axis=0) computes, minus its overhead
+    alignment = swarm.paces[mask].sum(axis=0) / count
+    cohesion = swarm.positions[mask].sum(axis=0) / count - own
     return NeighborhoodContext(nl, count, alignment, cohesion)
 
 
@@ -219,16 +220,22 @@ def enforce_bounds(position, bounds, rng):
     ``lower > 0`` (ANTENNA, EVAC) every lower-side repair lands exactly on
     ``lower``, and with ``upper < 0`` every upper-side repair lands exactly
     on ``upper``.  The rule itself is kept unchanged.
+
+    Evaluation order: nothing is drawn unless some coordinate lies outside
+    the box (a NaN coordinate never does).  Otherwise coordinates are
+    visited in index order and each violated one draws one uniform, on
+    Python floats, whose products equal the numpy scalar ones; the clamp
+    then runs once over the whole vector.
     """
     out = np.array(position, dtype=float)
     lb, ub = bounds.lower, bounds.upper
-    if np.any(out > ub) or np.any(out < lb):
-        for j in range(out.size):
-            if out[j] > ub[j]:
-                out[j] = ub[j] * rng.uniform()
-            elif out[j] < lb[j]:
-                out[j] = lb[j] * rng.uniform()
-        np.clip(out, lb, ub, out=out)
+    if (out > ub).any() or (out < lb).any():
+        for j, (value, low, high) in enumerate(zip(out.tolist(), lb.tolist(), ub.tolist())):
+            if value > high:
+                out[j] = high * rng.uniform()
+            elif value < low:
+                out[j] = low * rng.uniform()
+        out.clip(lb, ub, out=out)
     return out
 
 
@@ -272,7 +279,7 @@ def init_population(config, objective):
 
 def _safe_fitness(objective, x, rng):
     value = objective.evaluate(x, rng)
-    return float(value) if np.isfinite(value) else np.inf
+    return float(value) if isfinite(value) else np.inf
 
 
 def step(swarm, objective):

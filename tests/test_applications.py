@@ -90,6 +90,77 @@ def test_antenna_fitness_dual_oracle():
     assert antenna_fitness(UNIFORM_LAYOUT, PROBLEM) == pytest.approx(expected, abs=1e-9)
 
 
+def _reference_spacing_violation(candidate):
+    """The constraint in numpy array form, one ``np.sum`` per group."""
+    x = np.asarray(candidate, dtype=float)
+    total = 0.0
+    total += float(np.sum(np.maximum(0.0, apps.MIN_POSITION - x)))
+    total += float(np.sum(np.maximum(0.0, x - apps.MAX_POSITION)))
+    elements = np.append(x, apps.FIXED_ELEMENT)
+    for i in range(elements.size - 1):
+        gaps = np.abs(elements[i + 1 :] - elements[i])
+        total += float(np.sum(np.maximum(0.0, apps.MIN_SPACING - gaps)))
+    return total
+
+
+def _reference_antenna_fitness(candidate, violation, problem):
+    """The fitness with the sidelobe angles and every cosine recomputed per call,
+    given the candidate's ``_reference_spacing_violation``."""
+    if violation > 0.0:
+        return apps.PENALTY_WEIGHT * violation + apps.PENALTY_OFFSET
+    cos_t = np.cos(np.radians(problem.theta_grid))
+    u = (cos_t - np.cos(np.radians(problem.steering_angle_deg)))[problem.sidelobe_mask]
+    x = np.asarray(candidate, dtype=float)
+    af = np.sum(np.cos(np.outer(u, 2.0 * np.pi * x)), axis=1) + np.cos(
+        u * 2.0 * np.pi * apps.FIXED_ELEMENT
+    )
+    return float(np.max(20.0 * np.log10(np.maximum(np.abs(af), 1e-300))))
+
+
+def _oracle_candidates():
+    """12,000 layouts around the box, 12,000 sorted in-box layouts (many
+    feasible) shuffled, and special values."""
+    rng = np.random.default_rng(20)
+    around = rng.uniform(-0.5, 2.75, size=(12_000, 4))
+    in_box = np.sort(rng.uniform(0.125, 2.0, size=(12_000, 4)), axis=1)
+    in_box = rng.permuted(in_box, axis=1)
+    nan, inf = np.nan, np.inf
+    special = [
+        UNIFORM_LAYOUT,
+        FEASIBLE_LAYOUT,
+        INFEASIBLE_LAYOUT,
+        [nan, 0.75, 1.25, 1.75],
+        [0.25, 0.75, 1.25, nan],
+        [nan] * 4,
+        [inf, 0.75, 1.25, 1.75],
+        [0.25, -inf, 1.25, 1.75],
+        [inf, -inf, inf, -inf],
+        [-0.0, 0.75, 1.25, 1.75],
+    ]
+    return np.vstack([around, in_box, special])
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+def test_spacing_and_fitness_bit_identical_to_array_form():
+    candidates = _oracle_candidates()
+    assert len(candidates) >= 20_000
+    with np.errstate(invalid="ignore"):
+        expected_violation = [_reference_spacing_violation(c) for c in candidates]
+        expected_fitness = [
+            _reference_antenna_fitness(c, v, PROBLEM) for c, v in zip(candidates, expected_violation)
+        ]
+        violation = [spacing_violation(c) for c in candidates]
+        fitness = [antenna_fitness(c, PROBLEM) for c in candidates]
+    # enough feasible layouts to exercise the array factor, not only the penalty
+    assert np.count_nonzero(np.array(violation) == 0.0) > 1_000
+    np.testing.assert_array_equal(_bits(violation), _bits(expected_violation))
+    np.testing.assert_array_equal(_bits(fitness), _bits(expected_fitness))
+    assert math.isnan(spacing_violation([np.nan, 0.75, 1.25, 1.75]))
+
+
 def test_antenna_objective_spec():
     spec = antenna_objective()
     assert spec.id == "ANTENNA"
@@ -181,6 +252,20 @@ def test_scenario_validation():
         apps.EvacScenario(10.0, 10.0, np.array([[5.0, 5.0]]), np.array([0.0]))
     with pytest.raises(ValueError):
         apps.EvacScenario(10.0, 10.0, np.array([[15.0, 5.0]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("formula", ["nope", "Paper", ""])
+def test_scenario_rejects_unknown_time_formula(formula):
+    with pytest.raises(ValueError, match="time formula"):
+        apps.EvacScenario(10, 10, [[1, 2]], [1], formula)
+    with pytest.raises(ValueError, match="time formula"):
+        build_scenario(10.0, 10.0, 3, seed=0, time_formula=formula)
+
+
+def test_scenario_accepts_every_time_formula():
+    for formula in apps.TIME_FORMULAS:
+        scenario = apps.EvacScenario(10, 10, [[1, 2]], [1], formula)
+        assert evac_fitness(0.0, scenario) > 0.0
 
 
 def test_scenario_round_trip(tmp_path):

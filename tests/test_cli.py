@@ -168,6 +168,31 @@ def test_non_positive_counts_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--function", "TF1", "--algo", "ifdo", "--seed", "-1"],
+        ["run", "--function", "TF1", "--algo", "ifdo", "--seed", "1.5"],
+        ["bench", "--suite", "cec2019", "--seed", "-7"],
+        ["compare", "--function", "TF1", "--seed", "-1"],
+        ["antenna", "--seed", "-1"],
+        ["evac", "--seed", "-1"],
+        ["evac", "--scenario-seed", "-1"],
+        ["evac", "--scenario-seed", "seed"],
+    ],
+)
+def test_negative_seeds_are_usage_errors(argv, capsys):
+    assert main(argv) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "seed" in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+def test_zero_seed_is_accepted(capsys):
+    assert main(["run", "--function", "TF1", "--algo", "ifdo", "--seed", "0", *FAST]) == 0
+    assert main(["evac", "--scenario-seed", "0", "--count", "3", *FAST]) == 0
+
+
+@pytest.mark.parametrize(
     "body, message",
     [
         ("area 10 10\n1 2\n", ":2: expected 3 finite numbers"),

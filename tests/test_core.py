@@ -1,5 +1,7 @@
 """Unit tests for the optimizer engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -196,6 +198,49 @@ def test_neighborhood_radius_excludes_far_scouts():
     swarm = make_swarm([[0.0], [1.0], [50.0]], np.zeros((3, 1)))
     ctx = neighborhood(0, swarm, 2.0)
     assert ctx.neighbor_count == 1
+
+
+def test_neighborhood_means_bit_identical_to_numpy_mean():
+    rng = np.random.default_rng(8)
+    checked = 0
+    for _ in range(400):
+        p, d = rng.integers(3, 40), rng.integers(1, 12)
+        positions = rng.uniform(-5.0, 5.0, size=(p, d))
+        paces = rng.normal(0.0, 2.0, size=(p, d))
+        swarm = make_swarm(positions, paces)
+        i, nl = int(rng.integers(p)), rng.uniform(2.0, 6.0 * np.sqrt(d))
+        mask = np.linalg.norm(positions - positions[i], axis=1) <= nl
+        mask[i] = False
+        ctx = neighborhood(i, swarm, nl)
+        assert ctx.neighbor_count == np.count_nonzero(mask)
+        if ctx.neighbor_count == 0:
+            continue
+        checked += 1
+        expected_alignment = paces[mask].mean(axis=0)
+        expected_cohesion = positions[mask].mean(axis=0) - positions[i]
+        assert ctx.alignment.tobytes() == expected_alignment.tobytes()
+        assert ctx.cohesion.tobytes() == expected_cohesion.tobytes()
+    assert checked > 300
+
+
+@given(
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.floats(0.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_neighborhood_symmetric_and_excludes_self(p, d, nl, seed):
+    positions = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(p, d))
+    # one-hot paces turn the alignment into the neighbor indicator over count
+    swarm = make_swarm(positions, np.eye(p))
+    member = np.zeros((p, p), dtype=bool)
+    for i in range(p):
+        ctx = neighborhood(i, swarm, nl)
+        if ctx.neighbor_count > 0:
+            member[i] = ctx.alignment > 0.0
+        assert ctx.neighbor_count == np.count_nonzero(member[i])
+    assert not member.diagonal().any()
+    np.testing.assert_array_equal(member, member.T)
 
 
 # -- proposal ----------------------------------------------------------------
@@ -442,3 +487,65 @@ def test_non_finite_fitness_never_accepted():
 def test_first_best_iteration():
     assert first_best_iteration([5.0, 3.0, 3.0, 1.0, 1.0]) == 4
     assert first_best_iteration([2.0, 2.0]) == 1
+
+
+# -- properties of whole runs ------------------------------------------------
+
+PROPERTY_OBJECTIVES = {
+    "sphere": sphere_objective(3),
+    "rastrigin": ObjectiveSpec(
+        id="rastrigin2", dimension=2, bounds=box(2, -5.12, 5.12), evaluator=deterministic(rastrigin)
+    ),
+    "offset-box": sphere_objective(2, 0.125, 2.0),
+}
+
+small_configs = st.builds(
+    RunConfig,
+    population=st.integers(1, 8),
+    iterations=st.integers(1, 20),
+    mode=st.sampled_from([FDO, IFDO]),
+    fdo_wf=st.sampled_from([0.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    wf_scope=st.sampled_from(["scout", "swarm"]),
+)
+
+
+@given(small_configs, st.sampled_from(sorted(PROPERTY_OBJECTIVES)))
+def test_runs_repeat_bit_for_bit_with_non_increasing_trace(config, name):
+    objective = PROPERTY_OBJECTIVES[name]
+    first, second = run(config, objective), run(config, objective)
+    assert first.trace.tobytes() == second.trace.tobytes()
+    assert first.best_position.tobytes() == second.best_position.tobytes()
+    assert np.all(np.diff(first.trace) <= 0.0)
+    assert first.best_fitness == first.trace[-1]
+
+
+@given(small_configs, st.sampled_from(sorted(PROPERTY_OBJECTIVES)))
+def test_ifdo_weight_factors_never_increase(config, name):
+    objective = PROPERTY_OBJECTIVES[name]
+    swarm = init_population(replace(config, mode=IFDO), objective)
+    for _ in range(config.iterations):
+        previous = swarm.weight_factors.copy()
+        step(swarm, objective)
+        assert np.all(swarm.weight_factors <= previous)
+        assert np.all(swarm.weight_factors >= 0.0)
+
+
+@given(small_configs, st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-1.0, 1.0))
+def test_non_finite_values_are_never_accepted(config, bad, threshold):
+    """Where the first coordinate exceeds ``threshold`` the objective is non-finite."""
+
+    def poisoned(z, rng):
+        return bad if z[0] > threshold else sphere(z)
+
+    objective = ObjectiveSpec(id="poisoned", dimension=2, bounds=box(2, -1, 1), evaluator=poisoned)
+    swarm = init_population(config, objective)
+    for _ in range(config.iterations):
+        before = swarm.positions.copy()
+        step(swarm, objective)
+        moved = np.any(swarm.positions != before, axis=1)
+        assert np.all(swarm.positions[moved, 0] <= threshold)
+        assert np.all(np.isfinite(swarm.fitness[moved]))
+        assert not np.any(np.isnan(swarm.fitness))
+        if np.isfinite(swarm.global_best_fitness):
+            assert swarm.global_best_position[0] <= threshold
