@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fdopt import core
 from fdopt.core import (
@@ -508,8 +508,12 @@ small_configs = st.builds(
     seed=st.integers(0, 2**32 - 1),
     wf_scope=st.sampled_from(["scout", "swarm"]),
 )
+# whole runs take milliseconds; no per-example deadline, so a loaded
+# machine cannot turn a slow example into a flaky failure
+run_settings = settings(deadline=None)
 
 
+@run_settings
 @given(small_configs, st.sampled_from(sorted(PROPERTY_OBJECTIVES)))
 def test_runs_repeat_bit_for_bit_with_non_increasing_trace(config, name):
     objective = PROPERTY_OBJECTIVES[name]
@@ -520,6 +524,7 @@ def test_runs_repeat_bit_for_bit_with_non_increasing_trace(config, name):
     assert first.best_fitness == first.trace[-1]
 
 
+@run_settings
 @given(small_configs, st.sampled_from(sorted(PROPERTY_OBJECTIVES)))
 def test_ifdo_weight_factors_never_increase(config, name):
     objective = PROPERTY_OBJECTIVES[name]
@@ -531,6 +536,7 @@ def test_ifdo_weight_factors_never_increase(config, name):
         assert np.all(swarm.weight_factors >= 0.0)
 
 
+@run_settings
 @given(small_configs, st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-1.0, 1.0))
 def test_non_finite_values_are_never_accepted(config, bad, threshold):
     """Where the first coordinate exceeds ``threshold`` the objective is non-finite."""
