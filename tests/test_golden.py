@@ -1,19 +1,24 @@
-"""Golden hashes: exact bits of seeded runs and of one CLI export.
+"""Golden hashes: exact bits of seeded runs, of one CLI export and of the catalog.
 
-Each case runs 10 agents x 60 iterations from seed 3 and hashes, with
+Each run case runs 10 agents x 60 iterations from seed 3 and hashes, with
 SHA-256, the raw bytes of ``trace`` and ``best_position`` (plus
-``positions`` when recorded).  A refactor that keeps the engine's
-arithmetic and random stream unchanged keeps every hash; a deliberate
-change to either must re-pin them in a change of its own.
+``positions`` when recorded).  The catalog hash covers every spec of
+``all_objectives()``: its declared fields (bounds, shift, optimum, known
+and tabulated minima, noise flag, notes) and its values at 3 seeded
+in-box points.  A refactor that keeps the engine's arithmetic, the
+random stream and the objective declarations unchanged keeps every hash;
+a deliberate change to any of them must re-pin them in a change of its
+own.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from fdopt.cli import main
 from fdopt.core import FDO, IFDO, RunConfig, run
-from fdopt.registry import get_objective
+from fdopt.registry import all_objectives, get_objective
 
 CASES = {
     "TF1-ifdo": ("TF1", dict(mode=IFDO)),
@@ -47,6 +52,7 @@ GOLDEN = {
 
 BENCH_ARGV = ["bench", "--suite", "cec2019", "--runs", "1", "--agents", "4", "--iters", "3"]
 BENCH_CSV = "7c8a3c5618ff7795e179667fa0669e3f42857dbcb0461763a3d7ff7e9152d1e6"
+CATALOG = "3af596ba6ee5275c4d8c8437c3972d1d662aa866e2b3e9d14ff71837da608d02"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -64,3 +70,28 @@ def test_bench_csv_bytes(tmp_path, capsys):
     path = tmp_path / "bench.csv"
     assert main([*BENCH_ARGV, "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCH_CSV
+
+
+def _catalog_field(value):
+    if value is None:
+        return b"<None>"
+    if isinstance(value, (str, bool, int)):
+        return repr(value).encode()
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_catalog_bytes():
+    """Every spec's declared fields and its values at 3 seeded in-box points."""
+    points_rng = np.random.default_rng(7)
+    digest = hashlib.sha256()
+    for spec in all_objectives():
+        points = points_rng.uniform(spec.bounds.lower, spec.bounds.upper, size=(3, spec.dimension))
+        values = [spec.evaluate(x, np.random.default_rng(k)) for k, x in enumerate(points)]
+        fields = (
+            spec.id, spec.dimension, spec.bounds.lower, spec.bounds.upper, spec.shift,
+            spec.optimum, spec.known_fmin, spec.tabulated_fmin, spec.noisy, spec.notes, values,
+        )
+        for value in fields:
+            data = _catalog_field(value)
+            digest.update(len(data).to_bytes(8, "little") + data)
+    assert digest.hexdigest() == CATALOG
