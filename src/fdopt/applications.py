@@ -8,7 +8,7 @@ of a rectangular area to minimize the mean evacuation time of a fixed
 pedestrian crowd; the decision variable is the perimeter arclength.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,6 +148,14 @@ class EvacScenario:
             )
         self.positions = np.asarray(self.positions, dtype=float)
         self.desired_speeds = np.asarray(self.desired_speeds, dtype=float)
+        count = self.desired_speeds.size
+        if count == 0 or self.positions.shape != (count, 2) or self.desired_speeds.shape != (count,):
+            raise ValueError(
+                "expected non-empty (n, 2) positions and (n,) desired speeds, got shapes "
+                f"{self.positions.shape} and {self.desired_speeds.shape}"
+            )
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.desired_speeds).all()):
+            raise ValueError("pedestrian positions and desired speeds must be finite")
         if np.any(self.desired_speeds <= 0):
             raise ValueError("desired speeds must be positive")
         if np.any(self.positions[:, 0] < 0) or np.any(self.positions[:, 0] > self.width):

@@ -117,7 +117,7 @@ def weierstrass(z, a=0.5, b=3.0, kmax=20):
 
 # -- composite machinery -----------------------------------------------------
 
-COMPOSITE_DIM = 10
+COMPOSITE_DIM = DIM
 COMPOSITE_RANGE = 5.0
 # component values are rescaled to this common magnitude before mixing
 COMPOSITE_SCALE = 2000.0
@@ -223,24 +223,26 @@ def composite_specs():
 # -- catalog -----------------------------------------------------------------
 
 
-def _spec(fid, kernel, low, high, shift_value, optimum_offset=0.0, **kw):
-    shift = np.full(DIM, float(shift_value))
-    optimum = kw.pop("optimum", shift + optimum_offset)
+def _spec(fid, kernel, low, high, shift, optimum_offset=0.0, noisy=False, **kw):
+    """A 10-dimensional spec; ``shift`` is a scalar or a full vector, and a
+    noisy kernel takes ``(z, rng)`` and is the evaluator itself."""
+    shift = np.full(DIM, shift, dtype=float)
+    kw.setdefault("optimum", shift + optimum_offset)
+    kw.setdefault("known_fmin", 0.0)
     return ObjectiveSpec(
         id=fid,
         dimension=DIM,
         bounds=box(DIM, low, high),
-        evaluator=deterministic(kernel),
+        evaluator=kernel if noisy else deterministic(kernel),
         shift=shift,
-        known_fmin=kw.pop("known_fmin", 0.0),
-        optimum=optimum,
+        noisy=noisy,
         **kw,
     )
 
 
 def catalog():
     """All 19 classical objective specs."""
-    specs = [
+    return [
         _spec("TF1", sphere, -100, 100, -30),
         _spec("TF2", abs_sum_prod, -10, 10, -3),
         _spec("TF3", cumulative_sq, -100, 100, -30),
@@ -248,44 +250,18 @@ def catalog():
         _spec("TF5", rosenbrock, -30, 30, -15, optimum_offset=1.0),
         _spec("TF6", rounded_sphere, -100, 100, -750,
               notes="tabulated shift lies outside the box; kept verbatim"),
-        ObjectiveSpec(
-            id="TF7",
-            dimension=DIM,
-            bounds=box(DIM, -1.28, 1.28),
-            evaluator=quartic_noise,
-            shift=np.full(DIM, -0.25),
-            known_fmin=0.0,
-            optimum=np.full(DIM, -0.25),
-            noisy=True,
-        ),
+        _spec("TF7", quartic_noise, -1.28, 1.28, -0.25, noisy=True),
         _spec("TF8", schwefel_sq_sin, -500, 500, -300,
               known_fmin=-2917375.29380209, tabulated_fmin=-418.9829, optimum=None,
               notes="squared-coordinate sine kernel as tabulated"),
         _spec("TF9", rastrigin, -5.12, 5.12, -2),
         _spec("TF10", ackley, -32, 32, 0),
         _spec("TF11", griewank, -600, 600, -400),
-        ObjectiveSpec(
-            id="TF12",
-            dimension=DIM,
-            bounds=box(DIM, -50, 50),
-            evaluator=deterministic(penalized1),
-            shift=np.array([-30.0] + [30.0] * 9),
-            known_fmin=0.0,
-            optimum=np.array([-30.0] + [30.0] * 9) - 1.0,
-            notes="base minimum sits at -1 per coordinate, so the minimizer is shift - 1",
-        ),
+        _spec("TF12", penalized1, -50, 50, [-30.0] + [30.0] * 9, optimum_offset=-1.0,
+              notes="base minimum sits at -1 per coordinate, so the minimizer is shift - 1"),
         _spec("TF13", penalized2, -50, 50, -100, optimum_offset=1.0,
               notes="tabulated shift lies outside the box; kept verbatim"),
+    ] + [
+        _spec(fid, lambda z, c=comp: composite_evaluate(c, z), -COMPOSITE_RANGE, COMPOSITE_RANGE, 0)
+        for fid, comp in composite_specs().items()
     ]
-    for fid, comp in composite_specs().items():
-        specs.append(
-            ObjectiveSpec(
-                id=fid,
-                dimension=COMPOSITE_DIM,
-                bounds=box(COMPOSITE_DIM, -COMPOSITE_RANGE, COMPOSITE_RANGE),
-                evaluator=deterministic(lambda z, c=comp: composite_evaluate(c, z)),
-                known_fmin=0.0,
-                optimum=np.zeros(COMPOSITE_DIM),
-            )
-        )
-    return specs

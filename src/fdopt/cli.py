@@ -9,9 +9,7 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
-from . import applications, harness
+from . import applications, cec2019, classical, harness
 from .core import FDO, IFDO, first_best_iteration
 from .registry import all_objectives, get_objective
 
@@ -89,7 +87,7 @@ def build_parser():
 
 
 def _experiment(args, objective_id, mode, record_positions=False):
-    config = harness.ExperimentConfig(
+    return harness.ExperimentConfig(
         objective_id=objective_id,
         mode=mode,
         runs=args.runs,
@@ -100,7 +98,6 @@ def _experiment(args, objective_id, mode, record_positions=False):
         fdo_wf=args.fdo_wf,
         wf_scope=args.wf_scope,
     )
-    return config
 
 
 def cmd_run(args):
@@ -129,9 +126,7 @@ def cmd_run(args):
 
 
 def cmd_bench(args):
-    suite = [
-        s for s in all_objectives() if (s.id.startswith("TF") if args.suite == "classical" else s.id.startswith("CEC"))
-    ]
+    suite = classical.catalog() if args.suite == "classical" else cec2019.cec_catalog()
     results = []
     writer = None
     out_fh = None

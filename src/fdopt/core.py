@@ -106,7 +106,6 @@ class SwarmState:
     weight_factors: np.ndarray  # (p,), all equal in swarm scope
     mode: str
     rng: np.random.Generator
-    iteration: int = 0
     wf_scope: str = "scout"
 
     @property
@@ -287,7 +286,7 @@ def step(swarm, objective):
 
     Each scout proposes a move; if it does not improve, the scout retries
     with its previously saved pace, and otherwise stays put.  The global
-    best is refreshed after every evaluation.
+    best is refreshed after every accepted move.
     """
     bounds = objective.bounds
     rng = swarm.rng
@@ -299,34 +298,26 @@ def step(swarm, objective):
         wf = float(swarm.weight_factors[i])
         fw = compute_fitness_weight(swarm.global_best_fitness, current_fitness, wf, swarm.mode)
         ctx = neighborhood(i, swarm, nl) if ifdo else None
-        pace = compute_pace(swarm.positions[i], swarm.global_best_position, fw, r, rng)
-        candidate = enforce_bounds(
-            propose_position(swarm.positions[i], pace, ctx, swarm.mode), bounds, rng
-        )
-        new_fitness = _safe_fitness(objective, candidate, rng)
-        accepted_pace = pace
-        if new_fitness >= current_fitness:
-            # second chance with the previously saved pace
+        fresh = compute_pace(swarm.positions[i], swarm.global_best_position, fw, r, rng)
+        # first try with the fresh pace, second chance with the saved one
+        for pace in (fresh, swarm.paces[i]):
             candidate = enforce_bounds(
-                propose_position(swarm.positions[i], swarm.paces[i], ctx, swarm.mode),
-                bounds,
-                rng,
+                propose_position(swarm.positions[i], pace, ctx, swarm.mode), bounds, rng
             )
             new_fitness = _safe_fitness(objective, candidate, rng)
-            accepted_pace = swarm.paces[i].copy()
-        if new_fitness < current_fitness:
-            swarm.positions[i] = candidate
-            swarm.paces[i] = accepted_pace
-            swarm.fitness[i] = new_fitness
-            new_wf = update_weight_factor(wf, True, swarm.mode, rng)
-            if swarm.wf_scope == "swarm":
-                swarm.weight_factors[:] = new_wf
-            else:
-                swarm.weight_factors[i] = new_wf
-            if new_fitness < swarm.global_best_fitness:
-                swarm.global_best_fitness = new_fitness
-                swarm.global_best_position = candidate.copy()
-    swarm.iteration += 1
+            if new_fitness < current_fitness:
+                swarm.positions[i] = candidate
+                swarm.paces[i] = pace
+                swarm.fitness[i] = new_fitness
+                new_wf = update_weight_factor(wf, True, swarm.mode, rng)
+                if swarm.wf_scope == "swarm":
+                    swarm.weight_factors[:] = new_wf
+                else:
+                    swarm.weight_factors[i] = new_wf
+                if new_fitness < swarm.global_best_fitness:
+                    swarm.global_best_fitness = new_fitness
+                    swarm.global_best_position = candidate
+                break
     return swarm
 
 

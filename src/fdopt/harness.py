@@ -7,7 +7,7 @@ reconstructed in isolation.  Exports use 17-significant-digit decimals so
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,17 +32,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        # RunConfig owns the checks of the shared run settings
+        self.run_config(0)
 
     def run_config(self, k):
-        return RunConfig(
-            population=self.population,
-            iterations=self.iterations,
-            mode=self.mode,
-            fdo_wf=self.fdo_wf,
-            seed=self.base_seed + k,
-            record_positions=self.record_positions,
-            wf_scope=self.wf_scope,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(RunConfig) if f.name != "seed"}
+        return RunConfig(seed=self.base_seed + k, **shared)
 
 
 @dataclass

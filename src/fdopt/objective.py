@@ -1,6 +1,6 @@
 """Objective specification shared by every benchmark and application."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

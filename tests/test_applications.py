@@ -254,6 +254,26 @@ def test_scenario_validation():
         apps.EvacScenario(10.0, 10.0, np.array([[15.0, 5.0]]), np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "positions, speeds",
+    [
+        (np.empty((0, 2)), np.empty(0)),
+        ([[1.0, 2.0]], [1.0, 1.2]),
+        ([[np.nan, 2.0]], [1.0]),
+        ([[1.0, 2.0]], [np.inf]),
+        ([[1.0, 2.0]], [np.nan]),
+        ([1.0, 2.0], [1.0]),
+        ([[1.0, 2.0, 3.0]], [1.0]),
+        ([[1.0, 2.0]], [[1.0]]),
+    ],
+    ids=["empty", "extra-speed", "nan-position", "inf-speed", "nan-speed", "1d-positions",
+         "three-columns", "2d-speeds"],
+)
+def test_scenario_rejects_invalid_crowd(positions, speeds):
+    with pytest.raises(ValueError):
+        apps.EvacScenario(10.0, 10.0, positions, speeds)
+
+
 @pytest.mark.parametrize("formula", ["nope", "Paper", ""])
 def test_scenario_rejects_unknown_time_formula(formula):
     with pytest.raises(ValueError, match="time formula"):

@@ -59,6 +59,11 @@ def test_runs_validation():
         small_config(runs=0)
 
 
+def test_bad_run_setting_fails_at_construction():
+    with pytest.raises(ValueError, match="mode"):
+        ExperimentConfig(objective_id="TF1", mode="nope")
+
+
 def test_seed_derivation():
     config = small_config(base_seed=100)
     assert config.run_config(0).seed == 100
