@@ -219,3 +219,43 @@ def test_evac_malformed_scenario_file(tmp_path, capsys, body, message):
 def test_evac_invalid_area(area, capsys):
     assert main(["evac", *area, *FAST]) == USAGE_ERROR
     assert capsys.readouterr().err.startswith("error: area width and height")
+
+
+COMMON = ["--agents", "3", "--iters", "2", "--runs", "2", "--seed", "5",
+          "--wf-scope", "swarm", "--fdo-wf", "1.0"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected, record_positions",
+    [
+        (["run", "--function", "TF1", "--algo", "fdo"], [("TF1", "fdo")], False),
+        (["run", "--function", "TF1", "--algo", "ifdo", "--history", "{tmp}/h.csv"],
+         [("TF1", "ifdo")], True),
+        (["compare", "--function", "TF9"], [("TF9", "fdo"), ("TF9", "ifdo")], False),
+        (["bench", "--suite", "cec2019"],
+         [(f"CEC{i:02d}", mode) for i in range(1, 11) for mode in ("fdo", "ifdo")], False),
+        (["antenna", "--algo", "fdo"], [("ANTENNA", "fdo")], False),
+        (["evac", "--algo", "fdo", "--count", "5"], [("EVAC", "fdo")], False),
+    ],
+    ids=["run", "run-history", "compare", "bench", "antenna", "evac"],
+)
+def test_common_flags_reach_every_experiment(
+    argv, expected, record_positions, tmp_path, monkeypatch, capsys
+):
+    from fdopt import harness
+
+    configs = []
+    run_experiment = harness.run_experiment
+
+    def spy(config, objective):
+        configs.append(config)
+        return run_experiment(config, objective)
+
+    monkeypatch.setattr(harness, "run_experiment", spy)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv + COMMON) == 0
+    assert [(c.objective_id, c.mode) for c in configs] == expected
+    for config in configs:
+        assert (config.population, config.iterations, config.runs) == (3, 2, 2)
+        assert (config.base_seed, config.wf_scope, config.fdo_wf) == (5, "swarm", 1.0)
+        assert config.record_positions is record_positions
