@@ -7,7 +7,9 @@ flags, so identical invocations reproduce identical outputs.
 
 import argparse
 import csv
+import os
 import sys
+from dataclasses import fields
 
 from . import applications, cec2019, classical, harness
 from .core import FDO, IFDO, first_best_iteration
@@ -36,11 +38,26 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
+def _objective(name):
+    """argparse type for ``--function``: the objective registered under ``name``."""
+    try:
+        return get_objective(name)
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"unknown objective {name!r}; see 'fdopt list'") from None
+
+
 def _add_common(parser, agents=30, iters=500):
-    parser.add_argument("--agents", type=_positive_int, default=agents)
-    parser.add_argument("--iters", type=_positive_int, default=iters)
+    """The flags every experiment shares, each stored under its ExperimentConfig field name."""
+    parser.add_argument(
+        "--agents", dest="population", metavar="AGENTS", type=_positive_int, default=agents
+    )
+    parser.add_argument(
+        "--iters", dest="iterations", metavar="ITERS", type=_positive_int, default=iters
+    )
     parser.add_argument("--runs", type=_positive_int, default=1)
-    parser.add_argument("--seed", type=_non_negative_int, default=0)
+    parser.add_argument(
+        "--seed", dest="base_seed", metavar="SEED", type=_non_negative_int, default=0
+    )
     parser.add_argument("--wf-scope", choices=["scout", "swarm"], default="scout")
     parser.add_argument("--fdo-wf", type=float, choices=[0.0, 1.0], default=0.0)
 
@@ -50,7 +67,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one objective")
-    p_run.add_argument("--function", required=True)
+    p_run.add_argument("--function", type=_objective, required=True)
     p_run.add_argument("--algo", choices=[FDO, IFDO], required=True)
     p_run.add_argument("--out", help="summary CSV path")
     p_run.add_argument("--trace", help="trace CSV path")
@@ -64,7 +81,7 @@ def build_parser():
     p_bench.set_defaults(runs=30)
 
     p_cmp = sub.add_parser("compare", help="compare both algorithms on one objective")
-    p_cmp.add_argument("--function", required=True)
+    p_cmp.add_argument("--function", type=_objective, required=True)
     _add_common(p_cmp)
     p_cmp.set_defaults(runs=10)
 
@@ -86,96 +103,63 @@ def build_parser():
     return parser
 
 
-def _experiment(args, objective_id, mode, record_positions=False):
-    return harness.ExperimentConfig(
-        objective_id=objective_id,
-        mode=mode,
-        runs=args.runs,
-        population=args.agents,
-        iterations=args.iters,
-        base_seed=args.seed,
-        record_positions=record_positions,
-        fdo_wf=args.fdo_wf,
-        wf_scope=args.wf_scope,
+def _experiment(args, objective, mode, record_positions=False):
+    """Run the experiment the common flags describe for ``objective`` in ``mode``."""
+    flags = vars(args)
+    shared = {f.name: flags[f.name] for f in fields(harness.ExperimentConfig) if f.name in flags}
+    config = harness.ExperimentConfig(
+        objective_id=objective.id, mode=mode, record_positions=record_positions, **shared
     )
+    return harness.run_experiment(config, objective)
+
+
+def _best_run(args, objective):
+    """The record with the lowest final best over the runs of ``objective``."""
+    result = _experiment(args, objective, args.algo)
+    return min(result.records, key=lambda r: r.best_fitness)
 
 
 def cmd_run(args):
-    try:
-        objective = get_objective(args.function)
-    except KeyError:
-        print(f"error: unknown objective {args.function!r}; see 'fdopt list'", file=sys.stderr)
-        return USAGE_ERROR
-    config = _experiment(args, args.function, args.algo, record_positions=bool(args.history))
-    result = harness.run_experiment(config, objective)
+    result = _experiment(args, args.function, args.algo, record_positions=bool(args.history))
     print(
-        f"{args.function} {args.algo} runs={args.runs} "
+        f"{args.function.id} {args.algo} runs={args.runs} "
         f"mean={result.mean:.10e} std={result.std:.10e}"
     )
-    try:
-        if args.out:
-            harness.export_results(result, "csv", args.out, kind="summary")
-        if args.trace:
-            harness.export_results(result, "csv", args.trace, kind="trace")
-        if args.history:
-            harness.export_search_history(result, args.history)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IO_ERROR
+    if args.out:
+        harness.export_results(result, "csv", args.out, kind="summary")
+    if args.trace:
+        harness.export_results(result, "csv", args.trace, kind="trace")
+    if args.history:
+        harness.export_search_history(result, args.history)
     return 0
 
 
 def cmd_bench(args):
     suite = classical.catalog() if args.suite == "classical" else cec2019.cec_catalog()
     results = []
-    writer = None
-    out_fh = None
-    try:
-        if args.out:
-            out_fh = open(args.out, "w", newline="")
-            writer = csv.writer(out_fh)
-            writer.writerow(harness.SUMMARY_COLUMNS)
+    # without --out the rows go to the null device, so there is one write path
+    with open(args.out or os.devnull, "w", newline="") as out_fh:
+        writer = csv.writer(out_fh)
+        writer.writerow(harness.SUMMARY_COLUMNS)
         for spec in suite:
             for mode in (FDO, IFDO):
-                config = _experiment(args, spec.id, mode)
-                result = harness.run_experiment(config, spec)
+                result = _experiment(args, spec, mode)
                 results.append(result)
-                print(
-                    f"{spec.id} {mode} mean={result.mean:.10e} std={result.std:.10e}",
-                    flush=True,
-                )
-                if writer is not None:
-                    writer.writerow(harness.summary_csv_row(result))
-                    out_fh.flush()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IO_ERROR
-    finally:
-        if out_fh is not None:
-            out_fh.close()
+                print(f"{spec.id} {mode} mean={result.mean:.10e} std={result.std:.10e}", flush=True)
+                writer.writerow(harness.summary_csv_row(result))
+                out_fh.flush()
     print(harness.format_comparison(harness.compare(results)))
     return 0
 
 
 def cmd_compare(args):
-    try:
-        objective = get_objective(args.function)
-    except KeyError:
-        print(f"error: unknown objective {args.function!r}; see 'fdopt list'", file=sys.stderr)
-        return USAGE_ERROR
-    results = [
-        harness.run_experiment(_experiment(args, args.function, mode), objective)
-        for mode in (FDO, IFDO)
-    ]
+    results = [_experiment(args, args.function, mode) for mode in (FDO, IFDO)]
     print(harness.format_comparison(harness.compare(results)))
     return 0
 
 
 def cmd_antenna(args):
-    objective = get_objective("ANTENNA")
-    config = _experiment(args, "ANTENNA", args.algo)
-    result = harness.run_experiment(config, objective)
-    record = min(result.records, key=lambda r: r.best_fitness)
+    record = _best_run(args, applications.antenna_objective())
     positions = record.best_position
     marker = "" if applications.is_feasible(positions) else " INFEASIBLE"
     print("element positions: " + " ".join(f"{v:.6f}" for v in positions) + marker)
@@ -192,16 +176,10 @@ def cmd_evac(args):
             scenario = applications.build_scenario(
                 args.width, args.height, args.count, args.scenario_seed, args.formula
             )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IO_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    objective = applications.evac_objective(scenario)
-    config = _experiment(args, "EVAC", args.algo)
-    result = harness.run_experiment(config, objective)
-    record = min(result.records, key=lambda r: r.best_fitness)
+    record = _best_run(args, applications.evac_objective(scenario))
     door = applications.perimeter_point(record.best_position[0], scenario.width, scenario.height)
     print(f"exit arclength: {record.best_position[0]:.6f}")
     print(f"exit coordinates: ({door[0]:.6f}, {door[1]:.6f})")
@@ -234,7 +212,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return IO_ERROR
 
 
 if __name__ == "__main__":

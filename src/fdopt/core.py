@@ -8,7 +8,7 @@ single seeded ``numpy.random.Generator`` so a run is fully reproducible.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gamma, isfinite, pi, sin
 
 import numpy as np
@@ -34,15 +34,10 @@ MANTEGNA_SIGMA = (
 
 @dataclass
 class Bounds:
-    """Box bounds of a search space.
-
-    ``landscape_boundary`` is the dominant box extent, max(upper - lower);
-    it feeds the neighbor-landscape radius in IFDO mode.
-    """
+    """Box bounds of a search space."""
 
     lower: np.ndarray
     upper: np.ndarray
-    landscape_boundary: float = field(init=False)
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -51,7 +46,6 @@ class Bounds:
             raise ValueError("lower and upper must have the same shape")
         if np.any(self.lower >= self.upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
-        self.landscape_boundary = float(np.max(self.upper - self.lower))
 
     @property
     def dimension(self):
@@ -171,8 +165,8 @@ def compute_pace(position, global_best_position, fw, r, rng):
 
 
 def neighbor_landscape(bounds):
-    """Neighbor radius: landscape boundary over the circle constant."""
-    return bounds.landscape_boundary / (2.0 * np.pi)
+    """Neighbor radius: the dominant box extent, max(upper - lower), over 2π."""
+    return float(np.max(bounds.upper - bounds.lower)) / (2.0 * np.pi)
 
 
 def neighborhood(scout_index, swarm, nl):
@@ -238,9 +232,9 @@ def enforce_bounds(position, bounds, rng):
     return out
 
 
-def update_weight_factor(wf, accepted, mode, rng):
+def update_weight_factor(wf, mode, rng):
     """Shrink a scout's weight factor after an accepted IFDO move."""
-    if mode == IFDO and accepted:
+    if mode == IFDO:
         return float(rng.uniform(0.0, wf))
     return wf
 
@@ -309,7 +303,7 @@ def step(swarm, objective):
                 swarm.positions[i] = candidate
                 swarm.paces[i] = pace
                 swarm.fitness[i] = new_fitness
-                new_wf = update_weight_factor(wf, True, swarm.mode, rng)
+                new_wf = update_weight_factor(wf, swarm.mode, rng)
                 if swarm.wf_scope == "swarm":
                     swarm.weight_factors[:] = new_wf
                 else:

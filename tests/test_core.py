@@ -333,21 +333,50 @@ def test_enforce_bounds_feasible_on_any_box(case, seed):
 def test_update_weight_factor_shrinks_on_accept():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        new = update_weight_factor(0.8, True, IFDO, rng)
+        new = update_weight_factor(0.8, IFDO, rng)
         assert 0.0 <= new <= 0.8
 
 
 def test_update_weight_factor_degenerate_zero():
-    assert update_weight_factor(0.0, True, IFDO, np.random.default_rng(0)) == 0.0
+    assert update_weight_factor(0.0, IFDO, np.random.default_rng(0)) == 0.0
 
 
 def test_update_weight_factor_fdo_unchanged():
-    assert update_weight_factor(0.7, True, FDO, np.random.default_rng(0)) == 0.7
-    assert update_weight_factor(0.7, False, FDO, np.random.default_rng(0)) == 0.7
+    assert update_weight_factor(0.7, FDO, np.random.default_rng(0)) == 0.7
 
 
-def test_update_weight_factor_rejected_unchanged():
-    assert update_weight_factor(0.7, False, IFDO, np.random.default_rng(0)) == 0.7
+def test_step_keeps_weight_factor_of_a_scout_rejected_twice():
+    """In IFDO scout scope only an accepted move shrinks a scout's weight factor.
+
+    Scout 0 sits on the optimum, so neither its fresh pace nor its saved
+    one can improve on it; the other scouts improve and shrink theirs.
+    """
+    shift = np.array([0.5, -0.25])
+    objective = ObjectiveSpec(
+        id="shifted", dimension=2, bounds=box(2, -1, 1), evaluator=deterministic(sphere),
+        shift=shift,
+    )
+    swarm = init_population(RunConfig(population=6, mode=IFDO, seed=5), objective)
+    swarm.positions[0] = shift
+    swarm.fitness[0] = 0.0
+    swarm.global_best_position, swarm.global_best_fitness = shift.copy(), 0.0
+    evaluated = []
+    evaluate = objective.evaluate
+
+    def spy(x, rng=None):
+        evaluated.append(np.array(x))
+        return evaluate(x, rng)
+
+    objective.evaluate = spy
+    before = swarm.weight_factors.copy()
+    step(swarm, objective)
+    # scout 0 goes first: a random-walk try away from the optimum, then
+    # its saved zero pace, which proposes the optimum itself
+    assert len(evaluated) >= 2 and np.any(evaluated[0] != shift)
+    np.testing.assert_array_equal(evaluated[1], shift)
+    np.testing.assert_array_equal(swarm.positions[0], shift)
+    assert swarm.weight_factors[0] == before[0]
+    assert np.any(swarm.weight_factors[1:] < before[1:])
 
 
 # -- population and config ---------------------------------------------------
