@@ -10,6 +10,7 @@ single seeded ``numpy.random.Generator`` so a run is fully reproducible.
 import time
 from dataclasses import dataclass
 from math import gamma, isfinite, pi, sin
+from numbers import Integral
 
 import numpy as np
 
@@ -44,6 +45,8 @@ class Bounds:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper must have the same shape")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError("bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
 
@@ -62,6 +65,12 @@ class NeighborhoodContext:
     cohesion: np.ndarray
 
 
+def _require_int(name, value, low):
+    """Raise ValueError unless ``value`` is an integer, not a bool, of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     population: int = 30
@@ -73,10 +82,9 @@ class RunConfig:
     wf_scope: str = "scout"  # "scout" or "swarm"
 
     def __post_init__(self):
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        _require_int("population", self.population, 1)
+        _require_int("iterations", self.iterations, 1)
+        _require_int("seed", self.seed, 0)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         if self.wf_scope not in ("scout", "swarm"):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import RunConfig, run
+from .core import RunConfig, _require_int, run
 
 _FMT = "{:.17g}"
 SUMMARY_COLUMNS = ("objective", "mode", "runs", "population", "iterations", "mean", "std")
@@ -30,8 +30,7 @@ class ExperimentConfig:
     wf_scope: str = "scout"
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        _require_int("runs", self.runs, 1)
         # RunConfig owns the checks of the shared run settings
         self.run_config(0)
 

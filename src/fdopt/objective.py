@@ -35,6 +35,8 @@ class ObjectiveSpec:
         self.shift = np.asarray(self.shift, dtype=float)
         if self.shift.size != self.dimension:
             raise ValueError(f"{self.id}: shift length != dimension")
+        if self.bounds.dimension != self.dimension:
+            raise ValueError(f"{self.id}: bounds dimension != dimension")
 
     def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)

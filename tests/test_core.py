@@ -438,6 +438,33 @@ def test_bounds_validation():
         Bounds(np.array([0.0, 1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [([np.nan], [1.0]), ([0.0], [np.nan]), ([-np.inf], [np.inf]), ([0.0], [np.inf]),
+     ([-np.inf, 0.0], [1.0, 1.0])],
+)
+def test_bounds_reject_non_finite(lower, upper):
+    with pytest.raises(ValueError, match="finite"):
+        Bounds(lower, upper)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(population=2.5),
+     dict(population=True), dict(population=np.float64(3.0)), dict(iterations=10.0),
+     dict(iterations=np.bool_(True))],
+)
+def test_config_rejects_non_integer_or_negative_counts(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        RunConfig(**setting)
+
+
+def test_config_accepts_numpy_integers():
+    config = RunConfig(population=np.int64(4), iterations=np.int32(3), seed=np.uint32(7))
+    expected = run(RunConfig(population=4, iterations=3, seed=7), sphere_objective(2))
+    assert run(config, sphere_objective(2)).trace.tobytes() == expected.trace.tobytes()
+
+
 # -- full iterations ---------------------------------------------------------
 
 

@@ -64,6 +64,16 @@ def test_bad_run_setting_fails_at_construction():
         ExperimentConfig(objective_id="TF1", mode="nope")
 
 
+@pytest.mark.parametrize(
+    "setting, name",
+    [(dict(runs=2.5), "runs"), (dict(runs=True), "runs"), (dict(runs=0), "runs"),
+     (dict(base_seed=-1), "seed"), (dict(population=1.0), "population")],
+)
+def test_non_integer_or_negative_count_fails_at_construction(setting, name):
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig(objective_id="TF1", mode=IFDO, **setting)
+
+
 def test_seed_derivation():
     config = small_config(base_seed=100)
     assert config.run_config(0).seed == 100

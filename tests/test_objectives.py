@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fdopt import classical
+from fdopt.objective import ObjectiveSpec, box, deterministic
 from fdopt.classical import (
     COMPOSITE_SCALE,
     catalog,
@@ -110,6 +111,11 @@ def test_purity_of_deterministic_evaluators():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         SPECS["TF1"].evaluate(np.zeros(9))
+
+
+def test_bounds_of_another_dimension_rejected():
+    with pytest.raises(ValueError, match="bounds dimension"):
+        ObjectiveSpec("x", 3, box(2, -1, 1), deterministic(classical.sphere))
 
 
 def test_weierstrass_zero_at_origin():
