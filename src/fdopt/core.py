@@ -43,8 +43,8 @@ class Bounds:
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("lower and upper must have the same shape")
+        if self.lower.ndim != 1 or self.lower.size == 0 or self.lower.shape != self.upper.shape:
+            raise ValueError("lower and upper must be non-empty vectors of the same shape")
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("bounds must be finite")
         if np.any(self.lower >= self.upper):

@@ -436,6 +436,10 @@ def test_bounds_validation():
         Bounds(np.array([0.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         Bounds(np.array([0.0, 1.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="non-empty vectors"):
+        Bounds(np.zeros((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="non-empty vectors"):
+        Bounds([], [])
 
 
 @pytest.mark.parametrize(
