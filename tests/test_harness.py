@@ -66,8 +66,8 @@ def test_bad_run_setting_fails_at_construction():
 
 @pytest.mark.parametrize(
     "setting, name",
-    [(dict(runs=2.5), "runs"), (dict(runs=True), "runs"), (dict(runs=0), "runs"),
-     (dict(base_seed=-1), "seed"), (dict(population=1.0), "population")],
+    [(dict(runs=2.5), "runs"), (dict(runs=True), "runs"), (dict(base_seed=-1), "seed"),
+     (dict(population=1.0), "population")],
 )
 def test_non_integer_or_negative_count_fails_at_construction(setting, name):
     with pytest.raises(ValueError, match=name):
