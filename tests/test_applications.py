@@ -221,6 +221,23 @@ def test_evac_fitness_symmetric_pair():
     assert fitness == pytest.approx(single, abs=1e-12)
 
 
+@pytest.mark.parametrize("formula", ["paper", "physical"])
+def test_evac_fitness_bit_identical_to_time_formula(formula):
+    width = height = 50.0
+    scenario = build_scenario(width, height, 200, seed=5, time_formula=formula)
+    exits = np.random.default_rng(6).uniform(0.0, scenario.perimeter, 1_000)
+    fitness = [evac_fitness(s, scenario) for s in exits]
+    expected = [
+        float(np.mean(evac_time(
+            evac_distance(perimeter_point(s, width, height), scenario.positions),
+            scenario.desired_speeds,
+            formula,
+        )))
+        for s in exits
+    ]
+    np.testing.assert_array_equal(_bits(fitness), _bits(expected))
+
+
 def test_evac_fitness_continuity():
     scenario = build_scenario(50.0, 50.0, 20, seed=0)
     eps = 1e-6
