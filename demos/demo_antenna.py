@@ -9,7 +9,7 @@ the main beam, with a static penalty for layouts that violate the
 
 import numpy as np
 
-from fdopt.applications import AntennaProblem, antenna_objective, array_factor, is_feasible
+from fdopt.applications import antenna_objective, array_factor, is_feasible
 from fdopt.core import IFDO, RunConfig, first_best_iteration, run
 
 objective = antenna_objective()
@@ -22,7 +22,6 @@ print(f"peak sidelobe level: {record.best_fitness:.4f} dB")
 print("first reached at iteration", first_best_iteration(record.trace))
 
 # sample the beam pattern around broadside for a quick text sketch
-problem = AntennaProblem()
 print()
 print("beam pattern (20 log10 |AF|, every 15 degrees):")
 for theta in range(0, 181, 15):

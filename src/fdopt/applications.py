@@ -26,27 +26,22 @@ MIN_SPACING = 0.25
 MAIN_LOBE_COS = 1.0 / 4.5
 PENALTY_WEIGHT = 1e6
 PENALTY_OFFSET = 1e3
-
-
-@dataclass
-class AntennaProblem:
-    steering_angle_deg: float = 90.0
-    theta_step_deg: float = 0.25
-
-    def __post_init__(self):
-        self.theta_grid = np.arange(0.0, 180.0 + 1e-9, self.theta_step_deg)
-        cos_t = np.cos(np.radians(self.theta_grid))
-        self.sidelobe_mask = np.abs(cos_t) >= MAIN_LOBE_COS
-        cos_diff = cos_t - np.cos(np.radians(self.steering_angle_deg))
-        # the sidelobe angles and the fixed element's term there do not
-        # depend on the candidate, so every evaluation reuses them
-        self.sidelobe_u = cos_diff[self.sidelobe_mask]
-        self.sidelobe_fixed_term = _fixed_element_term(self.sidelobe_u)
+# the one array the objective measures: steered broadside, its pattern
+# sampled every 0.25 degrees
+STEERING_ANGLE_DEG = 90.0
 
 
 def _fixed_element_term(u):
     """Contribution of the fixed outermost element at every entry of ``u``."""
     return np.cos(u * 2.0 * np.pi * FIXED_ELEMENT)
+
+
+THETA_GRID = np.arange(0.0, 180.0 + 1e-9, 0.25)
+SIDELOBE_MASK = np.abs(np.cos(np.radians(THETA_GRID))) >= MAIN_LOBE_COS
+# the sidelobe angles and the fixed element's term there do not depend on
+# the candidate, so every evaluation reuses them
+_SIDELOBE_U = np.cos(np.radians(THETA_GRID[SIDELOBE_MASK])) - np.cos(np.radians(STEERING_ANGLE_DEG))
+_SIDELOBE_FIXED_TERM = _fixed_element_term(_SIDELOBE_U)
 
 
 def _array_factor(u, fixed_term, positions):
@@ -59,9 +54,9 @@ def _array_factor(u, fixed_term, positions):
     return np.cos(np.multiply.outer(2.0 * np.pi * x, u)).sum(axis=0) + fixed_term
 
 
-def array_factor(theta_deg, positions, steering_angle_deg=90.0):
+def array_factor(theta_deg, positions):
     """Array factor of the symmetric array at one angle (degrees)."""
-    u = np.array([np.cos(np.radians(theta_deg)) - np.cos(np.radians(steering_angle_deg))])
+    u = np.array([np.cos(np.radians(theta_deg)) - np.cos(np.radians(STEERING_ANGLE_DEG))])
     return float(_array_factor(u, _fixed_element_term(u), positions)[0])
 
 
@@ -105,23 +100,22 @@ def is_feasible(candidate):
     return spacing_violation(candidate) == 0.0
 
 
-def antenna_fitness(candidate, problem):
+def antenna_fitness(candidate):
     """Peak sidelobe level in dB, or a static penalty for infeasible layouts."""
     violation = spacing_violation(candidate)
     if violation > 0.0:
         return PENALTY_WEIGHT * violation + PENALTY_OFFSET
-    af = _array_factor(problem.sidelobe_u, problem.sidelobe_fixed_term, candidate)
+    af = _array_factor(_SIDELOBE_U, _SIDELOBE_FIXED_TERM, candidate)
     magnitude = np.maximum(np.abs(af), 1e-300)
     return float((20.0 * np.log10(magnitude)).max())
 
 
-def antenna_objective(problem=None):
-    problem = problem or AntennaProblem()
+def antenna_objective():
     return ObjectiveSpec(
         id="ANTENNA",
         dimension=4,
         bounds=box(4, MIN_POSITION, MAX_POSITION),
-        evaluator=deterministic(lambda z: antenna_fitness(z, problem)),
+        evaluator=deterministic(antenna_fitness),
     )
 
 
@@ -129,7 +123,10 @@ def antenna_objective(problem=None):
 
 # "paper" multiplies half the distance by the desired speed; "physical"
 # is the dimensionally conventional distance over speed
-TIME_FORMULAS = ("paper", "physical")
+TIME_FORMULAS = {
+    "paper": lambda dist, speed: dist / 2.0 * speed,
+    "physical": lambda dist, speed: dist / speed,
+}
 
 
 @dataclass
@@ -144,7 +141,7 @@ class EvacScenario:
         _check_area(self.width, self.height)
         if self.time_formula not in TIME_FORMULAS:
             raise ValueError(
-                f"time formula must be one of {TIME_FORMULAS}, got {self.time_formula!r}"
+                f"time formula must be one of {tuple(TIME_FORMULAS)}, got {self.time_formula!r}"
             )
         self.positions = np.asarray(self.positions, dtype=float)
         self.desired_speeds = np.asarray(self.desired_speeds, dtype=float)
@@ -215,18 +212,18 @@ def evac_time(dist, desired_speed, formula="paper"):
     ``TIME_FORMULAS``."""
     if np.any(np.asarray(desired_speed) <= 0):
         raise ValueError("desired_speed must be positive")
-    if formula == "paper":
-        return dist / 2.0 * desired_speed
-    if formula == "physical":
-        return dist / desired_speed
-    raise ValueError(f"formula must be one of {TIME_FORMULAS}, got {formula!r}")
+    if formula not in TIME_FORMULAS:
+        raise ValueError(f"formula must be one of {tuple(TIME_FORMULAS)}, got {formula!r}")
+    return TIME_FORMULAS[formula](dist, desired_speed)
 
 
 def evac_fitness(exit_parameter, scenario):
     """Mean evacuation time for an exit at the given perimeter arclength."""
     door = perimeter_point(exit_parameter, scenario.width, scenario.height)
     dist = evac_distance(door, scenario.positions)
-    return float(np.mean(evac_time(dist, scenario.desired_speeds, scenario.time_formula)))
+    # the scenario has already checked its speeds and formula
+    time = TIME_FORMULAS[scenario.time_formula]
+    return float(np.mean(time(dist, scenario.desired_speeds)))
 
 
 def evac_objective(scenario):

@@ -80,9 +80,9 @@ def griewank(z):
     return float(np.sum(z * z) / 4000.0 - np.prod(np.cos(z / np.sqrt(i))) + 1.0)
 
 
-def _penalty(z, a, k, m):
-    over = np.where(z > a, k * (z - a) ** m, 0.0)
-    under = np.where(z < -a, k * (-z - a) ** m, 0.0)
+def _penalty(z, a):
+    over = np.where(z > a, 100.0 * (z - a) ** 4.0, 0.0)
+    under = np.where(z < -a, 100.0 * (-z - a) ** 4.0, 0.0)
     return float(np.sum(over + under))
 
 
@@ -94,7 +94,7 @@ def penalized1(z):
         + np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
         + (y[-1] - 1.0) ** 2
     )
-    return float(np.pi / n * core + _penalty(z, 10.0, 100.0, 4.0))
+    return float(np.pi / n * core + _penalty(z, 10.0))
 
 
 def penalized2(z):
@@ -103,21 +103,22 @@ def penalized2(z):
         + np.sum((z[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * z[1:]) ** 2))
         + (z[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * z[-1]) ** 2)
     )
-    return float(0.1 * core + _penalty(z, 5.0, 100.0, 4.0))
+    return float(0.1 * core + _penalty(z, 5.0))
 
 
-def weierstrass(z, a=0.5, b=3.0, kmax=20):
-    k = np.arange(kmax + 1)
-    ak = a**k
-    bk = b**k
-    total = np.sum(ak * np.cos(2.0 * np.pi * np.outer(z + 0.5, bk)))
-    offset = z.size * np.sum(ak * np.cos(np.pi * bk))
-    return float(total - offset)
+# the standard Weierstrass terms a = 0.5, b = 3, k = 0..20
+_WEIERSTRASS_AK = 0.5 ** np.arange(21)
+_WEIERSTRASS_BK = 3.0 ** np.arange(21)
+_WEIERSTRASS_OFFSET = np.sum(_WEIERSTRASS_AK * np.cos(np.pi * _WEIERSTRASS_BK))
+
+
+def weierstrass(z):
+    total = np.sum(_WEIERSTRASS_AK * np.cos(2.0 * np.pi * np.outer(z + 0.5, _WEIERSTRASS_BK)))
+    return float(total - z.size * _WEIERSTRASS_OFFSET)
 
 
 # -- composite machinery -----------------------------------------------------
 
-COMPOSITE_DIM = DIM
 COMPOSITE_RANGE = 5.0
 # component values are rescaled to this common magnitude before mixing
 COMPOSITE_SCALE = 2000.0
@@ -179,7 +180,7 @@ def _composite_optima(index):
     # deterministic stand-in for the CEC2005 data files: first optimum at
     # the origin, the rest drawn uniformly inside the box
     rng = np.random.default_rng(1000 + index)
-    optima = rng.uniform(-COMPOSITE_RANGE, COMPOSITE_RANGE, size=(10, COMPOSITE_DIM))
+    optima = rng.uniform(-COMPOSITE_RANGE, COMPOSITE_RANGE, size=(10, DIM))
     optima[0] = 0.0
     return optima
 
@@ -187,8 +188,8 @@ def _composite_optima(index):
 def _composite_spec(index, components, sigmas, lambdas):
     return CompositeSpec(
         components=components,
-        sigmas=np.asarray(sigmas, dtype=float),
-        lambdas=np.asarray(lambdas, dtype=float),
+        sigmas=sigmas,
+        lambdas=lambdas,
         component_optima=_composite_optima(index),
         biases=np.zeros(10),
     )

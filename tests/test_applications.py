@@ -7,7 +7,6 @@ import pytest
 
 from fdopt import applications as apps
 from fdopt.applications import (
-    AntennaProblem,
     antenna_fitness,
     antenna_objective,
     array_factor,
@@ -24,7 +23,6 @@ from fdopt.applications import (
 )
 from fdopt.core import IFDO, RunConfig, run
 
-PROBLEM = AntennaProblem()
 UNIFORM_LAYOUT = [0.25, 0.75, 1.25, 1.75]
 FEASIBLE_LAYOUT = [0.713, 1.595, 0.433, 0.130]
 INFEASIBLE_LAYOUT = [0.701, 1.552, 0.402, 0.103]
@@ -67,7 +65,7 @@ def test_penalty_agrees_with_feasibility_checker():
     rng = np.random.default_rng(1)
     for _ in range(200):
         x = rng.uniform(0.0, 2.5, 4)
-        fitness = antenna_fitness(x, PROBLEM)
+        fitness = antenna_fitness(x)
         if is_feasible(x):
             assert fitness < apps.PENALTY_OFFSET
         else:
@@ -83,11 +81,11 @@ def test_spacing_violation_components():
 
 def test_antenna_fitness_dual_oracle():
     # maximum of 20 log10 |AF| over the sidelobe region, angle by angle
-    masked = PROBLEM.theta_grid[PROBLEM.sidelobe_mask]
+    masked = apps.THETA_GRID[apps.SIDELOBE_MASK]
     expected = max(
         20.0 * math.log10(max(abs(array_factor(t, UNIFORM_LAYOUT)), 1e-300)) for t in masked
     )
-    assert antenna_fitness(UNIFORM_LAYOUT, PROBLEM) == pytest.approx(expected, abs=1e-9)
+    assert antenna_fitness(UNIFORM_LAYOUT) == pytest.approx(expected, abs=1e-9)
 
 
 def _reference_spacing_violation(candidate):
@@ -103,13 +101,13 @@ def _reference_spacing_violation(candidate):
     return total
 
 
-def _reference_antenna_fitness(candidate, violation, problem):
+def _reference_antenna_fitness(candidate, violation):
     """The fitness with the sidelobe angles and every cosine recomputed per call,
     given the candidate's ``_reference_spacing_violation``."""
     if violation > 0.0:
         return apps.PENALTY_WEIGHT * violation + apps.PENALTY_OFFSET
-    cos_t = np.cos(np.radians(problem.theta_grid))
-    u = (cos_t - np.cos(np.radians(problem.steering_angle_deg)))[problem.sidelobe_mask]
+    cos_t = np.cos(np.radians(apps.THETA_GRID))
+    u = (cos_t - np.cos(np.radians(apps.STEERING_ANGLE_DEG)))[apps.SIDELOBE_MASK]
     x = np.asarray(candidate, dtype=float)
     af = np.sum(np.cos(np.outer(u, 2.0 * np.pi * x)), axis=1) + np.cos(
         u * 2.0 * np.pi * apps.FIXED_ELEMENT
@@ -150,10 +148,10 @@ def test_spacing_and_fitness_bit_identical_to_array_form():
     with np.errstate(invalid="ignore"):
         expected_violation = [_reference_spacing_violation(c) for c in candidates]
         expected_fitness = [
-            _reference_antenna_fitness(c, v, PROBLEM) for c, v in zip(candidates, expected_violation)
+            _reference_antenna_fitness(c, v) for c, v in zip(candidates, expected_violation)
         ]
         violation = [spacing_violation(c) for c in candidates]
-        fitness = [antenna_fitness(c, PROBLEM) for c in candidates]
+        fitness = [antenna_fitness(c) for c in candidates]
     # enough feasible layouts to exercise the array factor, not only the penalty
     assert np.count_nonzero(np.array(violation) == 0.0) > 1_000
     np.testing.assert_array_equal(_bits(violation), _bits(expected_violation))
