@@ -78,3 +78,126 @@ def test_detects_an_orphaned_private_name():
     }
     expected = [("a.py", 2, "_ghost"), ("a.py", 5, "_Gone"), ("c.py", 2, "_unread")]
     assert _orphans(sources) == expected
+
+
+CALLERS = [
+    path
+    for folder in ("src", "tests", "demos", "bench")
+    for path in sorted((Path(__file__).resolve().parents[1] / folder).rglob("*.py"))
+]
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _init_false(value):
+    return isinstance(value, ast.Call) and any(
+        kw.arg == "init" and getattr(kw.value, "value", True) is False for kw in value.keywords
+    )
+
+
+def _settings(tree):
+    """(line, callable, parameter, position) of every defaulted function parameter
+    and every defaulted ``__init__`` field of a dataclass in ``tree``.
+
+    ``position`` is the index of a positional argument that fills the
+    parameter, not counting ``self`` or ``cls``, and None for a keyword-only one.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            fields = [
+                s for s in node.body
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                and not _init_false(s.value)
+            ]
+            found += [
+                (s.lineno, node.name, s.target.id, i)
+                for i, s in enumerate(fields)
+                if s.value is not None
+            ]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            positional = node.args.posonlyargs + node.args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            first = len(positional) - len(node.args.defaults)
+            found += [(a.lineno, node.name, a.arg, i) for i, a in enumerate(positional) if i >= first]
+            found += [
+                (a.lineno, node.name, a.arg, None)
+                for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if d is not None
+            ]
+    return found
+
+
+def _passed(trees):
+    """What the calls in ``trees`` pass, by called name: argument positions,
+    keyword names, ``"*"`` for a ``*`` splat and ``"**"`` for a ``**`` splat."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            args = passed.setdefault(name, set())
+            args.update("*" if isinstance(a, ast.Starred) else i for i, a in enumerate(node.args))
+            args.update(kw.arg or "**" for kw in node.keywords)
+    return passed
+
+
+def _unset_settings(package, callers):
+    """(module, line, "callable.parameter") of every defaulted parameter or
+    dataclass field defined in ``package`` that no call in ``callers`` passes.
+
+    Both map file names to source text.  Calls are matched to a callable by
+    name; a call passes a parameter by position, by keyword or through a
+    ``*`` or ``**`` splat.
+    """
+    passed = _passed(ast.parse(source) for source in callers.values())
+    unset = []
+    for module, source in package.items():
+        for line, name, param, position in _settings(ast.parse(source)):
+            args = passed.get(name, set())
+            by_position = position is not None and (position in args or "*" in args)
+            if not (by_position or param in args or "**" in args):
+                unset.append((module, line, f"{name}.{param}"))
+    return sorted(unset)
+
+
+def test_every_setting_is_passed_somewhere():
+    package = {path.name: path.read_text() for path in MODULES}
+    callers = {str(path): path.read_text() for path in CALLERS}
+    assert _unset_settings(package, callers) == []
+
+
+def test_detects_an_unset_setting():
+    package = {
+        "a.py": (
+            "from dataclasses import dataclass, field\n"
+            "def f(x, by_position=1, by_keyword=2, *, unset=3):\n"
+            "    return x\n"
+            "def g(x, splat=1):\n"
+            "    return x\n"
+            "@dataclass\n"
+            "class C:\n"
+            "    x: int\n"
+            "    derived: int = field(init=False)\n"
+            "    first: int = 0\n"
+            "    second: int = 0\n"
+            "class Plain:\n"
+            "    def m(self, kept=1, dropped=2):\n"
+            "        return kept\n"
+        ),
+    }
+    callers = {
+        "b.py": (
+            "f(0, 1, by_keyword=2)\n"
+            "g(0, **options)\n"
+            "C(0, 1)\n"
+            "Plain().m(5)\n"
+        ),
+    }
+    expected = [("a.py", 2, "f.unset"), ("a.py", 11, "C.second"), ("a.py", 13, "m.dropped")]
+    assert _unset_settings(package, callers) == expected
