@@ -53,8 +53,9 @@ def quartic(z):
 
 
 def quartic_noise(z, rng):
-    noise = (rng if rng is not None else np.random.default_rng()).uniform()
-    return quartic(z) + float(noise)
+    if rng is None:
+        raise ValueError("a noisy objective needs a generator: pass rng")
+    return quartic(z) + float(rng.uniform())
 
 
 def schwefel_sq_sin(z):

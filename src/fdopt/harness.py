@@ -59,6 +59,10 @@ class ExperimentResult:
 
 def run_experiment(config, objective):
     """Execute ``config.runs`` independent runs, one after another, and aggregate them."""
+    if config.objective_id != objective.id:
+        raise ValueError(
+            f"config is for objective {config.objective_id!r}, got objective {objective.id!r}"
+        )
     records = [run(config.run_config(k), objective) for k in range(config.runs)]
     return ExperimentResult(config=config, records=records)
 

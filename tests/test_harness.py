@@ -54,6 +54,14 @@ def test_determinism():
     assert a.mean == b.mean and a.std == b.std
 
 
+def test_rejects_a_config_for_another_objective(monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="'TF1'.*'SPH'"):
+        run_experiment(small_config(objective_id="TF1"), sphere_objective())
+    assert ran == []
+
+
 def test_runs_validation():
     with pytest.raises(ValueError):
         small_config(runs=0)

@@ -100,6 +100,12 @@ def test_tf7_noise_term():
     assert value == again
 
 
+def test_tf7_needs_a_generator():
+    spec = SPECS["TF7"]
+    with pytest.raises(ValueError, match="rng"):
+        spec.evaluate(spec.optimum)
+
+
 def test_purity_of_deterministic_evaluators():
     rng = np.random.default_rng(3)
     for fid in ZERO_MIN_IDS + ["TF14", "TF17"]:
