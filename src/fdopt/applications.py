@@ -26,9 +26,6 @@ MIN_SPACING = 0.25
 MAIN_LOBE_COS = 1.0 / 4.5
 PENALTY_WEIGHT = 1e6
 PENALTY_OFFSET = 1e3
-# the one array the objective measures: steered broadside, its pattern
-# sampled every 0.25 degrees
-STEERING_ANGLE_DEG = 90.0
 
 
 def _fixed_element_term(u):
@@ -36,11 +33,15 @@ def _fixed_element_term(u):
     return np.cos(u * 2.0 * np.pi * FIXED_ELEMENT)
 
 
+# the one array the objective measures: steered broadside, its pattern
+# sampled every 0.25 degrees
+STEERING_ANGLE_DEG = 90.0
 THETA_GRID = np.arange(0.0, 180.0 + 1e-9, 0.25)
-SIDELOBE_MASK = np.abs(np.cos(np.radians(THETA_GRID))) >= MAIN_LOBE_COS
+_COS_THETA = np.cos(np.radians(THETA_GRID))
+SIDELOBE_MASK = np.abs(_COS_THETA) >= MAIN_LOBE_COS
 # the sidelobe angles and the fixed element's term there do not depend on
 # the candidate, so every evaluation reuses them
-_SIDELOBE_U = np.cos(np.radians(THETA_GRID[SIDELOBE_MASK])) - np.cos(np.radians(STEERING_ANGLE_DEG))
+_SIDELOBE_U = (_COS_THETA - np.cos(np.radians(STEERING_ANGLE_DEG)))[SIDELOBE_MASK]
 _SIDELOBE_FIXED_TERM = _fixed_element_term(_SIDELOBE_U)
 
 

@@ -1,5 +1,7 @@
-"""Every name a module of the package imports is used there or exported, and
-every module-level private name it defines is referenced in the package."""
+"""Every name a module of the package imports is used there or exported,
+every module-level private name it defines is referenced in the package, and
+every defaulted parameter or dataclass field it defines is passed by some
+call in the repository."""
 
 import ast
 from pathlib import Path
@@ -180,6 +182,8 @@ def test_detects_an_unset_setting():
             "    return x\n"
             "def g(x, splat=1):\n"
             "    return x\n"
+            "def h(x, star=1):\n"
+            "    return x\n"
             "@dataclass\n"
             "class C:\n"
             "    x: int\n"
@@ -195,9 +199,10 @@ def test_detects_an_unset_setting():
         "b.py": (
             "f(0, 1, by_keyword=2)\n"
             "g(0, **options)\n"
+            "h(*values)\n"
             "C(0, 1)\n"
             "Plain().m(5)\n"
         ),
     }
-    expected = [("a.py", 2, "f.unset"), ("a.py", 11, "C.second"), ("a.py", 13, "m.dropped")]
+    expected = [("a.py", 2, "f.unset"), ("a.py", 13, "C.second"), ("a.py", 15, "m.dropped")]
     assert _unset_settings(package, callers) == expected
