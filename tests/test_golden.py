@@ -1,14 +1,17 @@
-"""Golden hashes: exact bits of seeded runs, of one CLI export and of the catalog.
+"""Golden hashes: exact bits of seeded runs, of the CLI and harness exports and of the catalog.
 
 Each run case runs 10 agents x 60 iterations from seed 3 and hashes, with
 SHA-256, the raw bytes of ``trace`` and ``best_position`` (plus
 ``positions`` when recorded).  The catalog hash covers every spec of
 ``all_objectives()``: its declared fields (bounds, shift, optimum, known
 and tabulated minima, noise flag, notes) and its values at 3 seeded
-in-box points.  A refactor that keeps the engine's arithmetic, the
-random stream and the objective declarations unchanged keeps every hash;
-a deliberate change to any of them must re-pin them in a change of its
-own.
+in-box points.  The export hashes cover the bytes of the summary, trace
+and history CSVs that one ``fdopt run`` writes, and of the summary and
+trace JSON that ``export_results`` writes for the same experiment.  A
+refactor that keeps the engine's arithmetic, the random stream, the
+objective declarations and the export formats unchanged keeps every
+hash; a deliberate change to any of them must re-pin them in a change of
+its own.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import pytest
 
 from fdopt.cli import main
 from fdopt.core import FDO, IFDO, RunConfig, run
+from fdopt.harness import ExperimentConfig, export_results, run_experiment
 from fdopt.registry import all_objectives, get_objective
 
 CASES = {
@@ -52,6 +56,17 @@ GOLDEN = {
 
 BENCH_ARGV = ["bench", "--suite", "cec2019", "--runs", "1", "--agents", "4", "--iters", "3"]
 BENCH_CSV = "7c8a3c5618ff7795e179667fa0669e3f42857dbcb0461763a3d7ff7e9152d1e6"
+RUN_ARGV = ["run", "--function", "TF9", "--algo", "ifdo", "--runs", "2", "--seed", "4",
+            "--agents", "5", "--iters", "10"]
+RUN_CSVS = {
+    "--out": "e4fb690ef0cac65fba8415ffcd909f4f8567864ca06dc127ba2a9d0f6fcfe795",
+    "--trace": "08ad4802e59b8d1f032f4e079bc15b467ecd034e3e1dd05b5178d4d58032ecf0",
+    "--history": "1ccd3d639b07fb2bc5eea368e6a5588397ed3a5e7dc331c89736a53951edf291",
+}
+RUN_JSONS = {
+    "summary": "7b2f2a62330b2de4c86f08ceb2f420f7cc3ca63f4ba10aca317abf9ec957044d",
+    "trace": "eadd76547663f93adb080dc56736eee1752c8b37f190f5a6c1277b0e09d51440",
+}
 CATALOG = "3af596ba6ee5275c4d8c8437c3972d1d662aa866e2b3e9d14ff71837da608d02"
 
 
@@ -70,6 +85,22 @@ def test_bench_csv_bytes(tmp_path, capsys):
     path = tmp_path / "bench.csv"
     assert main([*BENCH_ARGV, "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCH_CSV
+
+
+def test_run_csv_bytes(tmp_path, capsys):
+    paths = {flag: tmp_path / f"{flag[2:]}.csv" for flag in RUN_CSVS}
+    assert main([*RUN_ARGV, *(a for flag, path in paths.items() for a in (flag, str(path)))]) == 0
+    digests = {flag: hashlib.sha256(path.read_bytes()).hexdigest() for flag, path in paths.items()}
+    assert digests == RUN_CSVS
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_JSONS))
+def test_run_json_bytes(kind, tmp_path):
+    """The JSON exports of the experiment ``RUN_ARGV`` describes."""
+    config = ExperimentConfig("TF9", IFDO, runs=2, population=5, iterations=10, base_seed=4)
+    path = tmp_path / f"{kind}.json"
+    export_results(run_experiment(config, get_objective("TF9")), "json", path, kind=kind)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RUN_JSONS[kind]
 
 
 def _catalog_field(value):
