@@ -78,6 +78,17 @@ def summary_csv_row(result):
     return [_FMT.format(v) if isinstance(v, float) else v for v in _summary_row(result).values()]
 
 
+def _write_csv(path, header, rows):
+    """The one CSV writer of every export: ``header``, then ``rows`` as they are produced."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise OSError(f"failed to write {path}: {exc}") from exc
+
+
 def export_results(result, format, path, kind="summary"):
     """Write an experiment to disk.
 
@@ -88,35 +99,27 @@ def export_results(result, format, path, kind="summary"):
         raise ValueError("format must be 'csv' or 'json'")
     if kind not in ("summary", "trace"):
         raise ValueError("kind must be 'summary' or 'trace'")
+    if kind == "summary":
+        header, rows = SUMMARY_COLUMNS, [summary_csv_row(result)]
+        payload, indent = _summary_row(result), 2
+    else:
+        header = ("run", "iteration", "best_fitness")
+        rows = (
+            (k, t, _FMT.format(value))
+            for k, record in enumerate(result.records)
+            for t, value in enumerate(record.trace.tolist())
+        )
+        runs = [
+            {"run": k, "best_fitness_trace": r.trace.tolist()} for k, r in enumerate(result.records)
+        ]
+        payload, indent = {"runs": runs}, None
+    if format == "csv":
+        _write_csv(path, header, rows)
+        return
     try:
-        if kind == "summary":
-            if format == "csv":
-                with open(path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(SUMMARY_COLUMNS)
-                    writer.writerow(summary_csv_row(result))
-            else:
-                with open(path, "w") as fh:
-                    json.dump(_summary_row(result), fh, indent=2)
-                    fh.write("\n")
-        else:
-            if format == "csv":
-                with open(path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["run", "iteration", "best_fitness"])
-                    for k, record in enumerate(result.records):
-                        for t, value in enumerate(record.trace):
-                            writer.writerow([k, t, _FMT.format(value)])
-            else:
-                payload = {
-                    "runs": [
-                        {"run": k, "best_fitness_trace": list(map(float, r.trace))}
-                        for k, r in enumerate(result.records)
-                    ]
-                }
-                with open(path, "w") as fh:
-                    json.dump(payload, fh)
-                    fh.write("\n")
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=indent)
+            fh.write("\n")
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
 
@@ -127,19 +130,14 @@ def export_search_history(result, path):
         if record.positions is None:
             raise ValueError("positions were not recorded; enable record_positions")
     dim = result.records[0].positions.shape[2]
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "iteration", "agent"] + [f"dim{j}" for j in range(dim)])
-            for k, record in enumerate(result.records):
-                iters, agents, _ = record.positions.shape
-                for t in range(iters):
-                    for a in range(agents):
-                        writer.writerow(
-                            [k, t, a] + [_FMT.format(v) for v in record.positions[t, a]]
-                        )
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
+    # one (agents, dim) frame at a time, so no whole run is held as Python floats
+    rows = (
+        (k, t, a, *map(_FMT.format, agent))
+        for k, record in enumerate(result.records)
+        for t, frame in enumerate(record.positions)
+        for a, agent in enumerate(frame.tolist())
+    )
+    _write_csv(path, ["run", "iteration", "agent"] + [f"dim{j}" for j in range(dim)], rows)
 
 
 def compare(results):
