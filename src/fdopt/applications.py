@@ -167,9 +167,10 @@ class EvacScenario:
 
 
 def _check_area(width, height):
-    if not (0.0 < width < np.inf and 0.0 < height < np.inf):
+    # the exit's arclength box spans the perimeter, which bounds both sides
+    if not (0.0 < width and 0.0 < height and 2.0 * (width + height) < np.inf):
         raise ValueError(
-            f"area width and height must be positive and finite, got {width} x {height}"
+            f"area width and height must be positive with a finite perimeter, got {width} x {height}"
         )
 
 

@@ -12,8 +12,8 @@ import sys
 from dataclasses import fields
 
 from . import applications, cec2019, classical, harness
-from .core import FDO, IFDO, first_best_iteration
-from .registry import all_objectives, get_objective
+from .core import IFDO, MODES, WF_SCOPES, first_best_iteration
+from .registry import DEFAULT_EVAC, all_objectives, get_objective
 
 USAGE_ERROR = 2
 IO_ERROR = 3
@@ -58,7 +58,7 @@ def _add_common(parser, agents=30, iters=500):
     parser.add_argument(
         "--seed", dest="base_seed", metavar="SEED", type=_non_negative_int, default=0
     )
-    parser.add_argument("--wf-scope", choices=["scout", "swarm"], default="scout")
+    parser.add_argument("--wf-scope", choices=WF_SCOPES, default=WF_SCOPES[0])
     parser.add_argument("--fdo-wf", type=float, choices=[0.0, 1.0], default=0.0)
 
 
@@ -68,7 +68,7 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run one objective")
     p_run.add_argument("--function", type=_objective, required=True)
-    p_run.add_argument("--algo", choices=[FDO, IFDO], required=True)
+    p_run.add_argument("--algo", choices=MODES, required=True)
     p_run.add_argument("--out", help="summary CSV path")
     p_run.add_argument("--trace", help="trace CSV path")
     p_run.add_argument("--history", help="search-history CSV path")
@@ -86,16 +86,16 @@ def build_parser():
     p_cmp.set_defaults(runs=10)
 
     p_ant = sub.add_parser("antenna", help="optimize the antenna array layout")
-    p_ant.add_argument("--algo", choices=[FDO, IFDO], default=IFDO)
+    p_ant.add_argument("--algo", choices=MODES, default=IFDO)
     _add_common(p_ant, agents=20, iters=200)
 
     p_evac = sub.add_parser("evac", help="optimize the evacuation exit placement")
-    p_evac.add_argument("--algo", choices=[FDO, IFDO], default=IFDO)
-    p_evac.add_argument("--width", type=float, default=50.0)
-    p_evac.add_argument("--height", type=float, default=50.0)
-    p_evac.add_argument("--count", type=_positive_int, default=200)
+    p_evac.add_argument("--algo", choices=MODES, default=IFDO)
+    p_evac.add_argument("--width", type=float, default=DEFAULT_EVAC["width"])
+    p_evac.add_argument("--height", type=float, default=DEFAULT_EVAC["height"])
+    p_evac.add_argument("--count", type=_positive_int, default=DEFAULT_EVAC["count"])
     p_evac.add_argument("--formula", choices=applications.TIME_FORMULAS, default="paper")
-    p_evac.add_argument("--scenario-seed", type=_non_negative_int, default=0)
+    p_evac.add_argument("--scenario-seed", type=_non_negative_int, default=DEFAULT_EVAC["seed"])
     p_evac.add_argument("--scenario-file", help="load a scenario instead of generating one")
     _add_common(p_evac, agents=20, iters=200)
 
@@ -142,7 +142,7 @@ def cmd_bench(args):
         writer = csv.writer(out_fh)
         writer.writerow(harness.SUMMARY_COLUMNS)
         for spec in suite:
-            for mode in (FDO, IFDO):
+            for mode in MODES:
                 result = _experiment(args, spec, mode)
                 results.append(result)
                 print(f"{spec.id} {mode} mean={result.mean:.10e} std={result.std:.10e}", flush=True)
@@ -153,7 +153,7 @@ def cmd_bench(args):
 
 
 def cmd_compare(args):
-    results = [_experiment(args, args.function, mode) for mode in (FDO, IFDO)]
+    results = [_experiment(args, args.function, mode) for mode in MODES]
     print(harness.format_comparison(harness.compare(results)))
     return 0
 

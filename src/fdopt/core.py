@@ -16,7 +16,8 @@ import numpy as np
 
 FDO = "fdo"
 IFDO = "ifdo"
-_MODES = (FDO, IFDO)
+MODES = (FDO, IFDO)
+WF_SCOPES = ("scout", "swarm")  # weight-factor scopes, the default first
 
 # stability index of the heavy-tailed step sampler
 LEVY_BETA = 1.5
@@ -79,15 +80,15 @@ class RunConfig:
     fdo_wf: float = 0.0
     seed: int = 0
     record_positions: bool = False
-    wf_scope: str = "scout"  # "scout" or "swarm"
+    wf_scope: str = WF_SCOPES[0]
 
     def __post_init__(self):
         _require_int("population", self.population, 1)
         _require_int("iterations", self.iterations, 1)
         _require_int("seed", self.seed, 0)
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if self.wf_scope not in ("scout", "swarm"):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if self.wf_scope not in WF_SCOPES:
             raise ValueError("wf_scope must be 'scout' or 'swarm'")
         if not 0.0 <= self.fdo_wf <= 1.0:
             raise ValueError("fdo_wf must lie in [0, 1]")
@@ -108,7 +109,7 @@ class SwarmState:
     weight_factors: np.ndarray  # (p,), all equal in swarm scope
     mode: str
     rng: np.random.Generator
-    wf_scope: str = "scout"
+    wf_scope: str = WF_SCOPES[0]
 
     @property
     def population(self):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import RunConfig, _require_int, run
+from .core import WF_SCOPES, RunConfig, _require_int, run
 
 _FMT = "{:.17g}"
 SUMMARY_COLUMNS = ("objective", "mode", "runs", "population", "iterations", "mean", "std")
@@ -27,7 +27,7 @@ class ExperimentConfig:
     base_seed: int = 0
     record_positions: bool = False
     fdo_wf: float = 0.0
-    wf_scope: str = "scout"
+    wf_scope: str = WF_SCOPES[0]
 
     def __post_init__(self):
         _require_int("runs", self.runs, 1)

@@ -204,6 +204,7 @@ def test_zero_seed_is_accepted(capsys):
         ("area 10\n1 2 1\n", ":1: expected 2 finite numbers"),
         ("area 10 10\n1 20 1\n", "outside the area"),
         ("area 10 10\n1 2 -1\n", "speeds must be positive"),
+        ("area 1e308 1e308\n1 2 1\n", "finite perimeter"),
     ],
 )
 def test_evac_malformed_scenario_file(tmp_path, capsys, body, message):
@@ -215,7 +216,11 @@ def test_evac_malformed_scenario_file(tmp_path, capsys, body, message):
     assert err[0].startswith(f"error: {path}") and message in err[0]
 
 
-@pytest.mark.parametrize("area", [["--width", "-5"], ["--height", "0"], ["--width", "inf"]])
+@pytest.mark.parametrize(
+    "area",
+    [["--width", "-5"], ["--height", "0"], ["--width", "inf"],
+     ["--width", "1e308", "--height", "1e308"]],
+)
 def test_evac_invalid_area(area, capsys):
     assert main(["evac", *area, *FAST]) == USAGE_ERROR
     assert capsys.readouterr().err.startswith("error: area width and height")

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used there or exported,
-every module-level private name it defines is referenced in the package, and
+every module-level private name it defines is referenced in the package,
 every defaulted parameter or dataclass field it defines is passed by some
-call in the repository."""
+call in the repository, and files are opened for writing at known sites only."""
 
 import ast
 from pathlib import Path
@@ -206,3 +206,69 @@ def test_detects_an_unset_setting():
     }
     expected = [("a.py", 2, "f.unset"), ("a.py", 13, "C.second"), ("a.py", 15, "m.dropped")]
     assert _unset_settings(package, callers) == expected
+
+
+def _calls(node, function="<module>"):
+    """(innermost enclosing function name, call) of every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield function, child
+        yield from _calls(child, function)
+
+
+def _may_write(call):
+    """Whether the mode of an ``open`` call, positional or ``mode=``, can write."""
+    mode = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if not mode:
+        return False
+    value = getattr(mode[0], "value", None)
+    return not isinstance(value, str) or bool(set(value) & set("wax+"))
+
+
+def _write_sites(sources):
+    """(module, function) of every builtin ``open`` call that can write, one per call.
+
+    ``sources`` maps module names to source text.  A mode that is not a
+    string literal counts as a write.
+    """
+    return sorted(
+        (module, function)
+        for module, source in sources.items()
+        for function, call in _calls(ast.parse(source))
+        if getattr(call.func, "id", None) == "open" and _may_write(call)
+    )
+
+
+def test_files_are_written_at_the_known_sites_only():
+    """Every experiment file goes through harness._write_csv or the one JSON site of
+    harness.export_results; the streamed bench table and scenario files are the others."""
+    expected = [
+        ("applications.py", "save_scenario"),
+        ("cli.py", "cmd_bench"),
+        ("harness.py", "_write_csv"),
+        ("harness.py", "export_results"),
+    ]
+    assert _write_sites({path.name: path.read_text() for path in MODULES}) == expected
+
+
+def test_detects_a_write_site():
+    sources = {
+        "a.py": (
+            "def read(p):\n"
+            "    return open(p).read() + open(p, 'rb').read() + open(p, mode='r').read()\n"
+            "def write(p, m):\n"
+            "    open(p, 'w'), open(p, mode='a'), open(p, 'r+'), open(p, m)\n"
+            "def outer(p):\n"
+            "    def inner():\n"
+            "        return open(p, 'xb')\n"
+            "    return inner\n"
+            "open('log', 'w')\n"
+        ),
+        "b.py": "with open(path, 'w', newline='') as fh:\n    fh.write('x')\n",
+    }
+    expected = [("a.py", "<module>"), ("a.py", "inner"), *[("a.py", "write")] * 4,
+                ("b.py", "<module>")]
+    assert _write_sites(sources) == expected
