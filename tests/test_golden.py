@@ -7,7 +7,10 @@ SHA-256, the raw bytes of ``trace`` and ``best_position`` (plus
 and tabulated minima, noise flag, notes) and its values at 3 seeded
 in-box points.  The export hashes cover the bytes of the summary, trace
 and history CSVs that one ``fdopt run`` writes, and of the summary and
-trace JSON that ``export_results`` writes for the same experiment.  A
+trace JSON that ``export_results`` writes for the same experiment.  The
+kernel hash covers the values of the CEC01, CEC03, CEC07 and CEC08
+kernels, of the antenna fitness and of the six composites at seeded
+points drawn so that every branch runs, and each composite's tables.  A
 refactor that keeps the engine's arithmetic, the random stream, the
 objective declarations and the export formats unchanged keeps every
 hash; a deliberate change to any of them must re-pin them in a change of
@@ -19,6 +22,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from fdopt.applications import antenna_fitness, spacing_violation
+from fdopt.cec2019 import chebyshev, expanded_schaffer_f6, lennard_jones, modified_schwefel
+from fdopt.classical import composite_evaluate, composite_specs
 from fdopt.cli import main
 from fdopt.core import FDO, IFDO, RunConfig, run
 from fdopt.harness import ExperimentConfig, export_results, run_experiment
@@ -68,6 +74,7 @@ RUN_JSONS = {
     "trace": "eadd76547663f93adb080dc56736eee1752c8b37f190f5a6c1277b0e09d51440",
 }
 CATALOG = "3af596ba6ee5275c4d8c8437c3972d1d662aa866e2b3e9d14ff71837da608d02"
+KERNELS = "215f9b86eaae98a2fdf372a5ed66076cf55bd9951a7ec6dc91395a7ffc88b835"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -126,3 +133,45 @@ def test_catalog_bytes():
             data = _catalog_field(value)
             digest.update(len(data).to_bytes(8, "little") + data)
     assert digest.hexdigest() == CATALOG
+
+
+def _kernel_cases():
+    """(kernel, points) pairs whose seeded points reach every branch of the kernel."""
+    rng = np.random.default_rng(11)
+    # scaled over seven decades, so both endpoint tests of CEC01 pass and fail
+    cec01 = rng.uniform(-1.0, 1.0, (2000, 9)) * 10.0 ** rng.uniform(-3.0, 3.9, (2000, 1))
+    # every fourth cluster has two atoms within 0.02, inside the 1e20 branch
+    atoms = rng.uniform(-4.0, 4.0, (2000, 6, 3))
+    atoms[::4, 1] = atoms[::4, 0] + rng.uniform(-0.01, 0.01, (500, 3))
+    # both out-of-box folds of CEC07 and its in-box rule
+    cec07 = rng.uniform(-1500.0, 1500.0, (2000, 10))
+    cec08 = rng.uniform(-100.0, 100.0, (2000, 10))
+    layouts = np.sort(rng.uniform(0.125, 2.0, (20000, 4)), axis=1)
+    feasible = [x for x in layouts if spacing_violation(x) == 0.0][:2000]
+    assert len(feasible) == 2000
+    unsorted = rng.uniform(0.0, 2.25, (2000, 4))
+    infeasible = [x for x in unsorted if spacing_violation(x) > 0.0][:500]
+    assert len(infeasible) == 500
+    cases = [
+        (chebyshev, cec01),
+        (lennard_jones, atoms.reshape(2000, 18)),
+        (modified_schwefel, cec07),
+        (expanded_schaffer_f6, cec08),
+        (antenna_fitness, feasible + infeasible),
+    ]
+    for spec in composite_specs().values():
+        # near the optima, across the box and far enough out that every weight underflows
+        points = rng.uniform(-5.0, 5.0, (300, 10)) * 10.0 ** rng.uniform(-1.0, 1.5, (300, 1))
+        cases.append((lambda x, spec=spec: composite_evaluate(spec, x), points))
+    return cases
+
+
+def test_kernel_bytes():
+    """Kernel values at branch-covering points and every composite's tables."""
+    digest = hashlib.sha256()
+    for kernel, points in _kernel_cases():
+        digest.update(np.array([kernel(x) for x in points], dtype=float).tobytes())
+    for spec in composite_specs().values():
+        for table in (spec.sigmas, spec.lambdas, spec.component_optima, spec.biases, spec.fmax):
+            digest.update(np.asarray(table, dtype=float).tobytes())
+    assert digest.hexdigest() == KERNELS
