@@ -107,8 +107,8 @@ def antenna_fitness(candidate):
     if violation > 0.0:
         return PENALTY_WEIGHT * violation + PENALTY_OFFSET
     af = _array_factor(_SIDELOBE_U, _SIDELOBE_FIXED_TERM, candidate)
-    magnitude = np.maximum(np.abs(af), 1e-300)
-    return float((20.0 * np.log10(magnitude)).max())
+    # log10 is monotone, so the level of the peak is the peak of the levels
+    return float(20.0 * np.log10(max(np.abs(af).max(), 1e-300)))
 
 
 def antenna_objective():

@@ -21,19 +21,17 @@ def chebyshev(z):
     for _ in range(n - 2):
         a, b = b, 2.4 * b - a
     upper = b
-    sample = 32 * n
-    y = np.linspace(-1.0, 1.0, sample + 1)
-    px = np.full(y.size, z[0])
+    # one Horner pass over the sample grid and the two endpoints after it
+    y = np.append(np.linspace(-1.0, 1.0, 32 * n + 1), (-1.2, 1.2))
+    p = np.full(y.size, z[0])
     for j in range(1, n):
-        px = y * px + z[j]
-    outside = np.abs(px) > 1.0
-    total = float(np.sum((1.0 - np.abs(px[outside])) ** 2))
-    for endpoint in (-1.2, 1.2):
-        p = z[0]
-        for j in range(1, n):
-            p = endpoint * p + z[j]
-        if p < upper:
-            total += p * p
+        p = y * p + z[j]
+    grid = p[:-2]
+    outside = np.abs(grid) > 1.0
+    total = float(np.sum((1.0 - np.abs(grid[outside])) ** 2))
+    for end in p[-2:]:
+        if end < upper:
+            total += end * end
     return total
 
 
@@ -48,12 +46,12 @@ def inverse_hilbert(z):
 def lennard_jones(z):
     """Minimum-energy cluster of z.size/3 atoms (d = 18: six atoms)."""
     atoms = z.reshape(-1, 3)
+    # every pair i < j in row-major order, added one at a time: np.sum and
+    # builtin sum (compensated from Python 3.12) would round differently
+    i, j = np.triu_indices(atoms.shape[0], 1)
     total = 0.0
-    for i in range(atoms.shape[0] - 1):
-        d2 = np.sum((atoms[i + 1 :] - atoms[i]) ** 2, axis=1)
-        r6 = d2**3
-        for u in r6:
-            total += (1.0 / u - 2.0) / u if u > 1e-10 else 1e20
+    for u in np.sum((atoms[j] - atoms[i]) ** 2, axis=1) ** 3:
+        total += (1.0 / u - 2.0) / u if u > 1e-10 else 1e20
     return float(total)
 
 
@@ -64,19 +62,16 @@ def modified_schwefel(z):
     for i, v in enumerate(y):
         if abs(v) <= 500.0:
             g[i] = v * np.sin(np.sqrt(abs(v)))
-        elif v > 500.0:
-            w = 500.0 - v % 500.0
-            g[i] = w * np.sin(np.sqrt(abs(w))) - (v - 500.0) ** 2 / (10000.0 * n)
         else:
-            w = abs(v) % 500.0 - 500.0
-            g[i] = w * np.sin(np.sqrt(abs(w))) - (v + 500.0) ** 2 / (10000.0 * n)
+            # fold back inside from the edge that v crossed
+            edge, w = (500.0, 500.0 - v % 500.0) if v > 0.0 else (-500.0, abs(v) % 500.0 - 500.0)
+            g[i] = w * np.sin(np.sqrt(abs(w))) - (v - edge) ** 2 / (10000.0 * n)
     return float(418.9829 * n - np.sum(g))
 
 
 def expanded_schaffer_f6(z):
-    x = z
     y = np.roll(z, -1)
-    s = x * x + y * y
+    s = z * z + y * y
     return float(np.sum(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2))
 
 

@@ -177,23 +177,13 @@ def composite_evaluate(spec, x):
     return float(value)
 
 
-def _composite_optima(index):
+def _composite_spec(index, components, sigmas, lambdas):
     # deterministic stand-in for the CEC2005 data files: first optimum at
     # the origin, the rest drawn uniformly inside the box
     rng = np.random.default_rng(1000 + index)
     optima = rng.uniform(-COMPOSITE_RANGE, COMPOSITE_RANGE, size=(10, DIM))
     optima[0] = 0.0
-    return optima
-
-
-def _composite_spec(index, components, sigmas, lambdas):
-    return CompositeSpec(
-        components=components,
-        sigmas=sigmas,
-        lambdas=lambdas,
-        component_optima=_composite_optima(index),
-        biases=np.zeros(10),
-    )
+    return CompositeSpec(components, sigmas, lambdas, optima, biases=np.zeros(10))
 
 
 def composite_specs():
@@ -202,6 +192,9 @@ def composite_specs():
                griewank, griewank, sphere, sphere]
     mixed18 = [rastrigin, rastrigin, weierstrass, weierstrass, griewank, griewank,
                ackley, ackley, sphere, sphere]
+    lambdas18 = [1 / 5, 1 / 5, 5 / 0.5, 5 / 0.5, 5 / 100, 5 / 100, 5 / 32, 5 / 32, 5 / 100, 5 / 100]
+    # TF19 is TF18 with sigmas and lambdas both scaled by 0.1, 0.2, ..., 1.0
+    ramp = np.arange(1, 11) / 10.0
     return {
         "TF14": _composite_spec(14, [sphere] * 10, np.ones(10), np.full(10, 5.0 / 100.0)),
         "TF15": _composite_spec(15, [griewank] * 10, np.ones(10), np.full(10, 5.0 / 100.0)),
@@ -210,15 +203,8 @@ def composite_specs():
             17, mixed17, np.ones(10),
             [5 / 32, 5 / 32, 1, 1, 5 / 0.5, 5 / 0.5, 5 / 100, 5 / 100, 5 / 100, 5 / 100],
         ),
-        "TF18": _composite_spec(
-            18, mixed18, np.ones(10),
-            [1 / 5, 1 / 5, 5 / 0.5, 5 / 0.5, 5 / 100, 5 / 100, 5 / 32, 5 / 32, 5 / 100, 5 / 100],
-        ),
-        "TF19": _composite_spec(
-            19, mixed18, np.arange(1, 11) / 10.0,
-            np.arange(1, 11) / 10.0
-            * np.array([1 / 5, 1 / 5, 5 / 0.5, 5 / 0.5, 5 / 100, 5 / 100, 5 / 32, 5 / 32, 5 / 100, 5 / 100]),
-        ),
+        "TF18": _composite_spec(18, mixed18, np.ones(10), lambdas18),
+        "TF19": _composite_spec(19, mixed18, ramp, ramp * np.array(lambdas18)),
     }
 
 
