@@ -69,7 +69,9 @@ def run_experiment(config, objective):
 
 def _summary_row(result):
     c = result.config
-    values = (c.objective_id, c.mode, c.runs, c.population, c.iterations, result.mean, result.std)
+    # numpy integers are valid counts, but json cannot encode them
+    counts = (int(c.runs), int(c.population), int(c.iterations))
+    values = (c.objective_id, c.mode, *counts, result.mean, result.std)
     return dict(zip(SUMMARY_COLUMNS, values))
 
 
@@ -116,10 +118,11 @@ def export_results(result, format, path, kind="summary"):
     if format == "csv":
         _write_csv(path, header, rows)
         return
+    # encoded before the file is opened, so an encoding error leaves no partial file
+    text = json.dumps(payload, indent=indent) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=indent)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
 

@@ -135,6 +135,29 @@ def test_summary_json(tmp_path):
     assert payload["runs"] == 3
 
 
+def test_numpy_integer_counts_export_as_plain_integers(tmp_path):
+    """A config counted in numpy integers writes the same summary as plain ints."""
+    objective = sphere_objective()
+    counts = dict(runs=2, population=5, iterations=3)
+    plain = run_experiment(small_config(**counts), objective)
+    numpy_counts = {name: np.int64(value) for name, value in counts.items()}
+    result = run_experiment(small_config(**numpy_counts), objective)
+    for format in ("csv", "json"):
+        paths = [tmp_path / f"{name}.{format}" for name in ("plain", "numpy")]
+        export_results(plain, format, paths[0])
+        export_results(result, format, paths[1])
+        assert paths[1].read_bytes() == paths[0].read_bytes()
+
+
+def test_json_encoding_error_leaves_no_file(tmp_path, monkeypatch):
+    result = run_experiment(small_config(runs=1), sphere_objective())
+    monkeypatch.setattr(harness, "_summary_row", lambda result: {"runs": object()})
+    path = tmp_path / "summary.json"
+    with pytest.raises(TypeError):
+        export_results(result, "json", path)
+    assert not path.exists()
+
+
 def test_export_argument_validation(tmp_path):
     result = run_experiment(small_config(runs=1), sphere_objective())
     with pytest.raises(ValueError):
