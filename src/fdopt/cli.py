@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields
 
 from . import applications, cec2019, classical, harness
-from .core import IFDO, MODES, WF_SCOPES, first_best_iteration
+from .core import IFDO, MODES, WF_SCOPES, RunConfig, first_best_iteration
 from .registry import DEFAULT_EVAC, all_objectives, get_objective
 
 USAGE_ERROR = 2
@@ -46,7 +46,7 @@ def _objective(name):
         raise argparse.ArgumentTypeError(f"unknown objective {name!r}; see 'fdopt list'") from None
 
 
-def _add_common(parser, agents=30, iters=500):
+def _add_common(parser, agents=RunConfig.population, iters=RunConfig.iterations):
     """The flags every experiment shares, each stored under its ExperimentConfig field name."""
     parser.add_argument(
         "--agents", dest="population", metavar="AGENTS", type=_positive_int, default=agents
@@ -58,8 +58,8 @@ def _add_common(parser, agents=30, iters=500):
     parser.add_argument(
         "--seed", dest="base_seed", metavar="SEED", type=_non_negative_int, default=0
     )
-    parser.add_argument("--wf-scope", choices=WF_SCOPES, default=WF_SCOPES[0])
-    parser.add_argument("--fdo-wf", type=float, choices=[0.0, 1.0], default=0.0)
+    parser.add_argument("--wf-scope", choices=WF_SCOPES, default=RunConfig.wf_scope)
+    parser.add_argument("--fdo-wf", type=float, choices=[0.0, 1.0], default=RunConfig.fdo_wf)
 
 
 def build_parser():

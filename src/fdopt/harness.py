@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import WF_SCOPES, RunConfig, _require_int, run
+from .core import RunConfig, _require_int, run
 
 _FMT = "{:.17g}"
 SUMMARY_COLUMNS = ("objective", "mode", "runs", "population", "iterations", "mean", "std")
@@ -22,12 +22,12 @@ class ExperimentConfig:
     objective_id: str
     mode: str
     runs: int = 30
-    population: int = 30
-    iterations: int = 500
+    population: int = RunConfig.population
+    iterations: int = RunConfig.iterations
     base_seed: int = 0
-    record_positions: bool = False
-    fdo_wf: float = 0.0
-    wf_scope: str = WF_SCOPES[0]
+    record_positions: bool = RunConfig.record_positions
+    fdo_wf: float = RunConfig.fdo_wf
+    wf_scope: str = RunConfig.wf_scope
 
     def __post_init__(self):
         _require_int("runs", self.runs, 1)
