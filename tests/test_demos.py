@@ -1,0 +1,44 @@
+"""The fast demos run as scripts against the package in ``src``.
+
+Each demo runs in a fresh directory and must exit 0, print the expected
+first line and write exactly the expected files there.
+``demo_benchmarks.py`` (80 runs of 30 agents x 500 iterations) is left out
+for its run time.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# demo -> (first stdout line, files it writes into its working directory)
+DEMOS = {
+    "demo_antenna.py": (
+        "optimized element positions (wavelengths): [0.2157 0.6253 1.2337 1.6348]", [],
+    ),
+    "demo_evacuation.py": ("optimizer exit: arclength 75.282 -> point (50.00, 25.28)", []),
+    "demo_search_history.py": (
+        "wrote search_history.csv (10 agents x 150 iterations) and convergence.csv",
+        ["convergence.csv", "search_history.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_demo_runs(demo, tmp_path):
+    first_line, files = DEMOS[demo]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == first_line
+    assert sorted(p.name for p in tmp_path.iterdir()) == files

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used there or exported,
 every module-level private name it defines is referenced in the package,
 every defaulted parameter or dataclass field it defines is passed by some
-call in the repository, and files are opened for writing at known sites only."""
+call in the repository, files are opened for writing at known sites only,
+and no module but the CLI prints."""
 
 import ast
 from pathlib import Path
@@ -272,3 +273,35 @@ def test_detects_a_write_site():
     expected = [("a.py", "<module>"), ("a.py", "inner"), *[("a.py", "write")] * 4,
                 ("b.py", "<module>")]
     assert _write_sites(sources) == expected
+
+
+def _prints(sources):
+    """(module, line) of every call to the builtin ``print`` in ``sources``,
+    which maps module names to source text."""
+    return sorted(
+        (module, call.lineno)
+        for module, source in sources.items()
+        for _, call in _calls(ast.parse(source))
+        if getattr(call.func, "id", None) == "print"
+    )
+
+
+def test_only_the_cli_prints():
+    """Library modules report through return values, exceptions and ``logging``."""
+    sources = {path.name: path.read_text() for path in MODULES if path.name != "cli.py"}
+    assert _prints(sources) == []
+
+
+def test_detects_a_print():
+    sources = {
+        "a.py": (
+            "import logging\n"
+            "def f(x):\n"
+            "    logging.info(x)\n"
+            "    print(x, file=None)\n"
+            "    return [print(y) for y in x]\n"
+            "log.print(1)\n"
+        ),
+        "b.py": "print('done')\n",
+    }
+    assert _prints(sources) == [("a.py", 4), ("a.py", 5), ("b.py", 1)]
