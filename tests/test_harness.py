@@ -170,6 +170,8 @@ def test_export_io_error(tmp_path):
     result = run_experiment(small_config(runs=1), sphere_objective())
     with pytest.raises(OSError):
         export_results(result, "csv", tmp_path / "missing" / "out.csv")
+    with pytest.raises(OSError, match="failed to write"):
+        export_results(result, "json", tmp_path / "missing" / "out.json")
 
 
 def test_mean_recomputed_from_trace_export(tmp_path):
@@ -235,3 +237,26 @@ def test_compare_groups_by_objective():
     )
     assert len(rows) == 3
     assert sum(r["best"] for r in rows) == 2  # one winner per objective
+
+
+def test_compare_keeps_first_seen_objective_order():
+    sph = sphere_objective()
+    other = ObjectiveSpec(
+        id="SPH3", dimension=3, bounds=box(3, -1, 1), evaluator=deterministic(sphere)
+    )
+    interleaved = [
+        run_experiment(small_config(mode=FDO), sph),
+        run_experiment(small_config(objective_id="SPH3", mode=FDO), other),
+        run_experiment(small_config(mode=IFDO), sph),
+        run_experiment(small_config(objective_id="SPH3", mode=IFDO), other),
+    ]
+    rows = compare(interleaved)
+    assert [(r["objective"], r["mode"]) for r in rows] == [
+        ("SPH", FDO), ("SPH", IFDO), ("SPH3", FDO), ("SPH3", IFDO)
+    ]
+    for group in (rows[:2], rows[2:]):
+        assert [r["best"] for r in group].count(True) == 1
+        assert next(r for r in group if r["best"])["mean"] == min(r["mean"] for r in group)
+    # equal means: the first in input order is the best
+    tied = compare([interleaved[0], interleaved[0]])
+    assert [r["best"] for r in tied] == [True, False]

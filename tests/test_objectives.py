@@ -124,6 +124,11 @@ def test_bounds_of_another_dimension_rejected():
         ObjectiveSpec("x", 3, box(2, -1, 1), deterministic(classical.sphere))
 
 
+def test_shift_of_another_length_rejected():
+    with pytest.raises(ValueError, match="shift length"):
+        ObjectiveSpec("x", 3, box(3, -1, 1), deterministic(classical.sphere), shift=np.zeros(2))
+
+
 def test_weierstrass_zero_at_origin():
     assert classical.weierstrass(np.zeros(10)) == pytest.approx(0.0, abs=1e-10)
 
@@ -246,3 +251,24 @@ def test_degenerate_composition_all_sphere_coincident():
     )
     assert composite_evaluate(coincident, np.zeros(10)) == pytest.approx(0.0, abs=1e-12)
     assert spec is not coincident
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(components=[classical.sphere] * 9), "exactly 10 components"),
+        (dict(sigmas=np.r_[np.ones(9), 0.0]), "must be positive"),
+        (dict(lambdas=np.r_[-1.0, np.ones(9)]), "must be positive"),
+    ],
+    ids=["nine-components", "zero-sigma", "negative-lambda"],
+)
+def test_composite_spec_rejects_invalid_parts(change, message):
+    parts = dict(
+        components=[classical.sphere] * 10,
+        sigmas=np.ones(10),
+        lambdas=np.ones(10),
+        component_optima=np.zeros((10, 10)),
+        biases=np.zeros(10),
+    )
+    with pytest.raises(ValueError, match=message):
+        classical.CompositeSpec(**{**parts, **change})
