@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _require_choice, _require_int
 from .objective import ObjectiveSpec, box, deterministic
 
 # -- antenna array -----------------------------------------------------------
@@ -140,10 +141,7 @@ class EvacScenario:
 
     def __post_init__(self):
         _check_area(self.width, self.height)
-        if self.time_formula not in TIME_FORMULAS:
-            raise ValueError(
-                f"time formula must be one of {tuple(TIME_FORMULAS)}, got {self.time_formula!r}"
-            )
+        _require_choice("time formula", self.time_formula, TIME_FORMULAS)
         self.positions = np.asarray(self.positions, dtype=float)
         self.desired_speeds = np.asarray(self.desired_speeds, dtype=float)
         count = self.desired_speeds.size
@@ -176,8 +174,7 @@ def _check_area(width, height):
 
 def build_scenario(width, height, count, seed, time_formula="paper"):
     """Random scenario: uniform positions, uniform[0.6, 1.4] m/s desired speeds."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _require_int("count", count, 1)
     _check_area(width, height)
     rng = np.random.default_rng(seed)
     positions = rng.uniform([0.0, 0.0], [width, height], size=(count, 2))
@@ -214,8 +211,7 @@ def evac_time(dist, desired_speed, formula="paper"):
     ``TIME_FORMULAS``."""
     if np.any(np.asarray(desired_speed) <= 0):
         raise ValueError("desired_speed must be positive")
-    if formula not in TIME_FORMULAS:
-        raise ValueError(f"formula must be one of {tuple(TIME_FORMULAS)}, got {formula!r}")
+    _require_choice("formula", formula, TIME_FORMULAS)
     return TIME_FORMULAS[formula](dist, desired_speed)
 
 

@@ -113,12 +113,11 @@ def cec_catalog():
     return specs
 
 
+_SPECS = {spec.id: spec for spec in cec_catalog()}
+
+
 def cec_evaluate(fid, x):
     """Evaluate one CEC function by identifier."""
-    if fid not in _FUNCTIONS:
+    if fid not in _SPECS:
         raise KeyError(f"unknown CEC function {fid!r}")
-    kernel, dim, _, _, _ = _FUNCTIONS[fid]
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"{fid}: expected vector of length {dim}, got shape {x.shape}")
-    return float(kernel(x))
+    return _SPECS[fid].evaluate(x)

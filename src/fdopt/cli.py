@@ -73,21 +73,23 @@ def build_parser():
     p_run.add_argument("--trace", help="trace CSV path")
     p_run.add_argument("--history", help="search-history CSV path")
     _add_common(p_run)
+    p_run.set_defaults(handler=cmd_run)
 
     p_bench = sub.add_parser("bench", help="run a full suite with both algorithms")
     p_bench.add_argument("--suite", choices=["classical", "cec2019"], required=True)
     p_bench.add_argument("--out", help="comparison CSV path")
     _add_common(p_bench)
-    p_bench.set_defaults(runs=30)
+    p_bench.set_defaults(runs=30, handler=cmd_bench)
 
     p_cmp = sub.add_parser("compare", help="compare both algorithms on one objective")
     p_cmp.add_argument("--function", type=_objective, required=True)
     _add_common(p_cmp)
-    p_cmp.set_defaults(runs=10)
+    p_cmp.set_defaults(runs=10, handler=cmd_compare)
 
     p_ant = sub.add_parser("antenna", help="optimize the antenna array layout")
     p_ant.add_argument("--algo", choices=MODES, default=IFDO)
     _add_common(p_ant, agents=20, iters=200)
+    p_ant.set_defaults(handler=cmd_antenna)
 
     p_evac = sub.add_parser("evac", help="optimize the evacuation exit placement")
     p_evac.add_argument("--algo", choices=MODES, default=IFDO)
@@ -98,8 +100,9 @@ def build_parser():
     p_evac.add_argument("--scenario-seed", type=_non_negative_int, default=DEFAULT_EVAC["seed"])
     p_evac.add_argument("--scenario-file", help="load a scenario instead of generating one")
     _add_common(p_evac, agents=20, iters=200)
+    p_evac.set_defaults(handler=cmd_evac)
 
-    sub.add_parser("list", help="list every objective")
+    sub.add_parser("list", help="list every objective").set_defaults(handler=cmd_list)
     return parser
 
 
@@ -196,16 +199,6 @@ def cmd_list(args):
     return 0
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "bench": cmd_bench,
-    "compare": cmd_compare,
-    "antenna": cmd_antenna,
-    "evac": cmd_evac,
-    "list": cmd_list,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -213,7 +206,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR

@@ -10,7 +10,7 @@ single seeded ``numpy.random.Generator`` so a run is fully reproducible.
 import time
 from dataclasses import dataclass
 from math import gamma, isfinite, pi, sin
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -72,6 +72,13 @@ def _require_int(name, value, low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _require_choice(name, value, choices):
+    """Raise ValueError unless ``value`` is one of ``choices``, also for an unhashable one."""
+    choices = tuple(choices)
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     population: int = 30
@@ -86,12 +93,11 @@ class RunConfig:
         _require_int("population", self.population, 1)
         _require_int("iterations", self.iterations, 1)
         _require_int("seed", self.seed, 0)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.wf_scope not in WF_SCOPES:
-            raise ValueError("wf_scope must be 'scout' or 'swarm'")
-        if not 0.0 <= self.fdo_wf <= 1.0:
-            raise ValueError("fdo_wf must lie in [0, 1]")
+        _require_choice("mode", self.mode, MODES)
+        _require_choice("wf_scope", self.wf_scope, WF_SCOPES)
+        wf = self.fdo_wf
+        if isinstance(wf, bool) or not isinstance(wf, Real) or not 0.0 <= wf <= 1.0:
+            raise ValueError(f"fdo_wf must be a real number in [0, 1], got {wf!r}")
 
 
 @dataclass
@@ -150,11 +156,7 @@ def compute_fitness_weight(best_fitness, current_fitness, wf, mode):
     if current_fitness == 0.0:
         return 0.0
     ratio = abs(best_fitness / current_fitness)
-    if mode == FDO:
-        return ratio - wf
-    if ratio > wf:
-        return ratio - wf
-    return ratio
+    return ratio - wf if mode == FDO or ratio > wf else ratio
 
 
 def compute_pace(position, global_best_position, fw, r, rng):

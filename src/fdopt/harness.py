@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import RunConfig, _require_int, run
+from .core import RunConfig, _require_choice, _require_int, run
 
 _FMT = "{:.17g}"
 SUMMARY_COLUMNS = ("objective", "mode", "runs", "population", "iterations", "mean", "std")
@@ -97,10 +97,8 @@ def export_results(result, format, path, kind="summary"):
     ``kind="summary"`` is one aggregate row; ``kind="trace"`` is one row per
     run per iteration with the global best value.
     """
-    if format not in ("csv", "json"):
-        raise ValueError("format must be 'csv' or 'json'")
-    if kind not in ("summary", "trace"):
-        raise ValueError("kind must be 'summary' or 'trace'")
+    _require_choice("format", format, ("csv", "json"))
+    _require_choice("kind", kind, ("summary", "trace"))
     if kind == "summary":
         header, rows = SUMMARY_COLUMNS, [summary_csv_row(result)]
         payload, indent = _summary_row(result), 2
@@ -150,17 +148,12 @@ def compare(results):
     """
     if len(results) < 2:
         raise ValueError("compare needs at least two experiment results")
-    rows = [dict(_summary_row(r), best=False) for r in results]
-    by_objective = {}
-    for row in rows:
-        by_objective.setdefault(row["objective"], []).append(row)
-    for group in by_objective.values():
-        best = min(group, key=lambda r: r["mean"])
-        best["best"] = True
-    ordered = []
-    for group in by_objective.values():
-        ordered.extend(group)
-    return ordered
+    groups = {}
+    for r in results:
+        groups.setdefault(r.config.objective_id, []).append(dict(_summary_row(r), best=False))
+    for group in groups.values():
+        min(group, key=lambda row: row["mean"])["best"] = True
+    return [row for group in groups.values() for row in group]
 
 
 def format_comparison(rows):

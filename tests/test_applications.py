@@ -262,6 +262,12 @@ def test_build_scenario_contract():
         build_scenario(10.0, 5.0, 0, seed=0)
 
 
+@pytest.mark.parametrize("count", [0, 2.5, True, "3"])
+def test_build_scenario_rejects_a_count_that_is_not_a_positive_integer(count):
+    with pytest.raises(ValueError, match="count"):
+        build_scenario(10.0, 10.0, count, 0)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         apps.EvacScenario(10.0, 10.0, np.array([[5.0, 5.0]]), np.array([0.0]))
@@ -289,7 +295,7 @@ def test_scenario_rejects_invalid_crowd(positions, speeds):
         apps.EvacScenario(10.0, 10.0, positions, speeds)
 
 
-@pytest.mark.parametrize("formula", ["nope", "Paper", ""])
+@pytest.mark.parametrize("formula", ["nope", "Paper", "", ["paper"]])
 def test_scenario_rejects_unknown_time_formula(formula):
     with pytest.raises(ValueError, match="time formula"):
         apps.EvacScenario(10, 10, [[1, 2]], [1], formula)

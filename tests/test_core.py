@@ -463,6 +463,19 @@ def test_config_rejects_non_integer_or_negative_counts(setting):
         RunConfig(**setting)
 
 
+@pytest.mark.parametrize(
+    "wf", ["0", None, [0.0], True, np.bool_(False)], ids=["str", "none", "list", "bool", "np-bool"]
+)
+def test_config_rejects_fdo_wf_that_is_not_a_real(wf):
+    with pytest.raises(ValueError, match="fdo_wf"):
+        RunConfig(fdo_wf=wf)
+
+
+def test_config_accepts_numpy_float_fdo_wf():
+    config = RunConfig(population=4, mode=FDO, fdo_wf=np.float32(1.0))
+    np.testing.assert_array_equal(init_population(config, sphere_objective(2)).weight_factors, 1.0)
+
+
 def test_config_accepts_numpy_integers():
     config = RunConfig(population=np.int64(4), iterations=np.int32(3), seed=np.uint32(7))
     expected = run(RunConfig(population=4, iterations=3, seed=7), sphere_objective(2))

@@ -2,7 +2,7 @@
 every module-level private name it defines is referenced in the package,
 every defaulted parameter or dataclass field it defines is passed by some
 call in the repository, files are opened for writing at known sites only,
-and no module but the CLI prints."""
+no module but the CLI prints, and one helper checks every choice."""
 
 import ast
 from pathlib import Path
@@ -209,15 +209,20 @@ def test_detects_an_unset_setting():
     assert _unset_settings(package, callers) == expected
 
 
-def _calls(node, function="<module>"):
-    """(innermost enclosing function name, call) of every call under ``node``."""
+def _nodes(node, function="<module>"):
+    """(innermost enclosing function name, node) of every node under ``node``
+    that is not itself a function definition."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _calls(child, child.name)
+            yield from _nodes(child, child.name)
             continue
-        if isinstance(child, ast.Call):
-            yield function, child
-        yield from _calls(child, function)
+        yield function, child
+        yield from _nodes(child, function)
+
+
+def _calls(node):
+    """(innermost enclosing function name, call) of every call under ``node``."""
+    return ((function, n) for function, n in _nodes(node) if isinstance(n, ast.Call))
 
 
 def _may_write(call):
@@ -305,3 +310,77 @@ def test_detects_a_print():
         "b.py": "print('done')\n",
     }
     assert _prints(sources) == [("a.py", 4), ("a.py", 5), ("b.py", 1)]
+
+
+def _raises_value_error(statements):
+    return any(
+        isinstance(n, ast.Raise) and "ValueError" in (
+            getattr(n.exc, "id", None), getattr(getattr(n.exc, "func", None), "id", None)
+        )
+        for statement in statements
+        for n in ast.walk(statement)
+    )
+
+
+def _choice_checks(sources):
+    """(module, function, line) of every ``if ... not in ...:`` whose body raises
+    ValueError, outside ``core._require_choice``.
+
+    ``sources`` maps module names to source text.
+    """
+    return sorted(
+        (module, function, node.lineno)
+        for module, source in sources.items()
+        for function, node in _nodes(ast.parse(source))
+        if isinstance(node, ast.If)
+        and any(
+            isinstance(op, ast.NotIn)
+            for n in ast.walk(node.test) if isinstance(n, ast.Compare)
+            for op in n.ops
+        )
+        and _raises_value_error(node.body)
+        and (module, function) != ("core.py", "_require_choice")
+    )
+
+
+def test_one_choice_check():
+    """A value outside a fixed set of choices is rejected by core._require_choice only,
+    so every such error has one form."""
+    assert _choice_checks({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_detects_a_choice_check():
+    sources = {
+        "core.py": (
+            "def _require_choice(name, value, choices):\n"
+            "    if value not in choices:\n"
+            "        raise ValueError(name)\n"
+            "def check(mode):\n"
+            "    if mode not in MODES:\n"
+            "        raise ValueError\n"
+        ),
+        "a.py": (
+            "def _require_choice(value):\n"
+            "    if value not in CHOICES:\n"
+            "        raise ValueError(value)\n"
+            "def lookup(key):\n"
+            "    if key not in TABLE:\n"
+            "        raise KeyError(key)\n"
+            "    if key in TABLE:\n"
+            "        raise ValueError(key)\n"
+            "    if key not in TABLE:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise ValueError(key)\n"
+            "    return key not in TABLE\n"
+            "class C:\n"
+            "    def __post_init__(self):\n"
+            "        if self.x > 0 and self.kind not in KINDS:\n"
+            "            if self.strict:\n"
+            "                raise ValueError('kind')\n"
+        ),
+        "b.py": "if FORMAT not in ('csv', 'json'):\n    raise ValueError(FORMAT)\n",
+    }
+    expected = [("a.py", "__post_init__", 16), ("a.py", "_require_choice", 2),
+                ("b.py", "<module>", 1), ("core.py", "check", 5)]
+    assert _choice_checks(sources) == expected
