@@ -83,6 +83,44 @@ def test_levy_raw_heavier_tailed_than_gaussian():
     assert kurtosis > 3.0
 
 
+# -- draw forms ----------------------------------------------------------------
+
+
+def test_sign_of_a_standard_normal_pair_is_the_sign_of_the_scalar_mantegna_draw():
+    for seed in range(20):
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(500):
+            u = old.normal(0.0, core.MANTEGNA_SIGMA)
+            v = old.normal(0.0, 1.0)
+            value = core.LEVY_SCALE * (u / np.abs(v) ** (1.0 / core.LEVY_BETA))
+            r_old = min(1.0, max(-1.0, float(value)))
+            assert (r_old < 0.0) == (new.standard_normal(2)[0] < 0.0)
+        assert old.bit_generator.state == new.bit_generator.state
+
+
+@pytest.mark.parametrize("wf", [0.0, 0.3, 0.8, 1.0, 1e-300])
+def test_scaled_random_equals_uniform_from_zero(wf):
+    old, new = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(200):
+        assert float(old.uniform(0.0, wf)) == wf * new.random()
+
+
+def test_scalar_uniforms_equal_one_random_array():
+    old, new = np.random.default_rng(12), np.random.default_rng(12)
+    for k in (1, 2, 7):
+        np.testing.assert_array_equal([old.uniform() for _ in range(k)], new.random(k))
+    assert old.bit_generator.state == new.bit_generator.state
+
+
+def test_enforce_bounds_draws_repairs_in_index_order():
+    bounds = Bounds([-100.0, -10.0, -50.0], [100.0, 10.0, 50.0])
+    rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+    out = enforce_bounds(np.array([150.0, 0.5, -75.0]), bounds, rng)
+    u0, u1 = twin.random(2)
+    np.testing.assert_array_equal(out, [100.0 * u0, 0.5, -50.0 * u1])
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 # -- fitness weight ----------------------------------------------------------
 
 
