@@ -55,7 +55,7 @@ def quartic(z):
 def quartic_noise(z, rng):
     if rng is None:
         raise ValueError("a noisy objective needs a generator: pass rng")
-    return quartic(z) + float(rng.uniform())
+    return quartic(z) + rng.random()
 
 
 def schwefel_sq_sin(z):

@@ -133,17 +133,16 @@ class RunRecord:
     positions: np.ndarray | None = None  # (iterations, p, d) when recorded
 
 
-def levy_raw(rng, size=None):
-    """Raw Mantegna heavy-tailed draw(s) with stability index ``LEVY_BETA``."""
+def levy_raw(rng, size):
+    """Raw Mantegna heavy-tailed draws with stability index ``LEVY_BETA``."""
     u = rng.normal(0.0, MANTEGNA_SIGMA, size=size)
     v = rng.normal(0.0, 1.0, size=size)
     return u / np.abs(v) ** (1.0 / LEVY_BETA)
 
 
-def levy_random(rng, size=None):
-    """Heavy-tailed random value(s) scaled and clamped into [-1, 1]."""
-    value = LEVY_SCALE * levy_raw(rng, size=size)
-    return value.clip(-1.0, 1.0) if size is not None else min(1.0, max(-1.0, float(value)))
+def levy_random(rng, size):
+    """Heavy-tailed random values scaled and clamped into [-1, 1]."""
+    return (LEVY_SCALE * levy_raw(rng, size)).clip(-1.0, 1.0)
 
 
 def compute_fitness_weight(best_fitness, current_fitness, wf, mode):
@@ -170,9 +169,7 @@ def compute_pace(position, global_best_position, fw, r, rng):
     if abs(fw) < FW_TOL or abs(fw - 1.0) < FW_TOL:
         return position * levy_random(rng, size=position.size)
     direction = position - np.asarray(global_best_position, dtype=float)
-    if r < 0.0:
-        return direction * fw * -1.0
-    return direction * fw
+    return direction * (-fw if r < 0.0 else fw)
 
 
 def neighbor_landscape(bounds):
@@ -226,19 +223,16 @@ def enforce_bounds(position, bounds, rng):
     on ``upper``.  The rule itself is kept unchanged.
 
     Evaluation order: nothing is drawn unless some coordinate lies outside
-    the box (a NaN coordinate never does).  Otherwise coordinates are
-    visited in index order and each violated one draws one uniform, on
-    Python floats, whose products equal the numpy scalar ones; the clamp
-    then runs once over the whole vector.
+    the box (a NaN coordinate never does).  Otherwise one ``rng.random(k)``
+    call draws the uniforms of the k violated coordinates in index order;
+    the clamp then runs once over the whole vector.
     """
     out = np.array(position, dtype=float)
     lb, ub = bounds.lower, bounds.upper
-    if (out > ub).any() or (out < lb).any():
-        for j, (value, low, high) in enumerate(zip(out.tolist(), lb.tolist(), ub.tolist())):
-            if value > high:
-                out[j] = high * rng.uniform()
-            elif value < low:
-                out[j] = low * rng.uniform()
+    above, below = out > ub, out < lb
+    crossed = above | below
+    if crossed.any():
+        out[crossed] = np.where(above, ub, lb)[crossed] * rng.random(np.count_nonzero(crossed))
         out.clip(lb, ub, out=out)
     return out
 
@@ -246,7 +240,7 @@ def enforce_bounds(position, bounds, rng):
 def update_weight_factor(wf, mode, rng):
     """Shrink a scout's weight factor after an accepted IFDO move."""
     if mode == IFDO:
-        return float(rng.uniform(0.0, wf))
+        return wf * rng.random()
     return wf
 
 
@@ -260,13 +254,12 @@ def init_population(config, objective):
     fitness = np.array(
         [_safe_fitness(objective, positions[i], rng) for i in range(config.population)]
     )
-    if config.mode == IFDO:
-        if config.wf_scope == "swarm":
-            weight_factors = np.full(config.population, rng.uniform(0.0, 1.0))
-        else:
-            weight_factors = rng.uniform(0.0, 1.0, size=config.population)
-    else:
+    if config.mode == FDO:
         weight_factors = np.full(config.population, float(config.fdo_wf))
+    elif config.wf_scope == "swarm":
+        weight_factors = np.full(config.population, rng.random())
+    else:
+        weight_factors = rng.random(config.population)
     best = int(np.argmin(fitness))
     return SwarmState(
         positions=positions,
@@ -283,7 +276,7 @@ def init_population(config, objective):
 
 def _safe_fitness(objective, x, rng):
     value = objective.evaluate(x, rng)
-    return float(value) if isfinite(value) else np.inf
+    return value if isfinite(value) else np.inf
 
 
 def step(swarm, objective):
@@ -299,7 +292,9 @@ def step(swarm, objective):
     nl = neighbor_landscape(bounds) if ifdo else 0.0
     for i in range(swarm.population):
         current_fitness = float(swarm.fitness[i])
-        r = levy_random(rng)
+        # only the sign of r is read, and it is the sign of Mantegna's
+        # numerator normal; the denominator normal is drawn all the same
+        r = rng.standard_normal(2)[0]
         wf = float(swarm.weight_factors[i])
         fw = compute_fitness_weight(swarm.global_best_fitness, current_fitness, wf, swarm.mode)
         ctx = neighborhood(i, swarm, nl) if ifdo else None
