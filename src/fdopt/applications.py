@@ -9,6 +9,7 @@ pedestrian crowd; the decision variable is the perimeter arclength.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -166,7 +167,8 @@ class EvacScenario:
 
 def _check_area(width, height):
     # the exit's arclength box spans the perimeter, which bounds both sides
-    if not (0.0 < width and 0.0 < height and 2.0 * (width + height) < np.inf):
+    real = all(isinstance(side, Real) and not isinstance(side, bool) for side in (width, height))
+    if not (real and 0.0 < width and 0.0 < height and 2.0 * (width + height) < np.inf):
         raise ValueError(
             f"area width and height must be positive with a finite perimeter, got {width} x {height}"
         )
@@ -175,6 +177,7 @@ def _check_area(width, height):
 def build_scenario(width, height, count, seed, time_formula="paper"):
     """Random scenario: uniform positions, uniform[0.6, 1.4] m/s desired speeds."""
     _require_int("count", count, 1)
+    _require_int("seed", seed, 0)
     _check_area(width, height)
     rng = np.random.default_rng(seed)
     positions = rng.uniform([0.0, 0.0], [width, height], size=(count, 2))
@@ -255,10 +258,14 @@ def load_scenario(path, time_formula="paper"):
     """Read a :func:`save_scenario` file.
 
     Raises ValueError naming the file, and the line where there is one, for
-    a malformed header or row, an empty crowd or an invalid scenario.
+    a file that is not UTF-8, a malformed header or row, an empty crowd or an
+    invalid scenario.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     header = lines[0].split() if lines else []
     if header[:1] != ["area"]:
         raise ValueError(f"{path}:1: expected header 'area W H'")

@@ -268,6 +268,38 @@ def test_build_scenario_rejects_a_count_that_is_not_a_positive_integer(count):
         build_scenario(10.0, 10.0, count, 0)
 
 
+@pytest.mark.parametrize(
+    "wrong, match",
+    [
+        (dict(seed=1.5), "seed"),
+        (dict(seed="x"), "seed"),
+        (dict(seed=True), "seed"),
+        (dict(seed=-1), "seed"),
+        (dict(width="10"), "area"),
+        (dict(width=None), "area"),
+        (dict(height=True), "area"),
+        (dict(height=np.bool_(True)), "area"),
+    ],
+    ids=["float-seed", "str-seed", "bool-seed", "negative-seed", "str-width", "none-width",
+         "bool-height", "numpy-bool-height"],
+)
+def test_build_scenario_rejects_wrong_typed_arguments(wrong, match):
+    args = dict(width=10.0, height=10.0, count=3, seed=0) | wrong
+    with pytest.raises(ValueError, match=match):
+        build_scenario(**args)
+
+
+@pytest.mark.parametrize("width", ["10", None, True, [10.0]])
+def test_scenario_rejects_an_area_side_that_is_not_a_real(width):
+    with pytest.raises(ValueError, match="area"):
+        apps.EvacScenario(width, 10.0, [[1.0, 2.0]], [1.0])
+
+
+def test_scenario_accepts_numpy_numbers():
+    scenario = build_scenario(np.float64(10.0), np.float32(5.0), np.int64(3), np.int64(2))
+    assert scenario.perimeter == 30.0
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         apps.EvacScenario(10.0, 10.0, np.array([[5.0, 5.0]]), np.array([0.0]))
@@ -324,6 +356,14 @@ def test_load_scenario_rejects_bad_header(tmp_path):
     path.write_text("nope 1 2\n")
     with pytest.raises(ValueError):
         load_scenario(path)
+
+
+def test_load_scenario_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_bytes(b"\xff\xfearea 10 10\n1 2 1\n")
+    with pytest.raises(ValueError, match="can't decode") as info:
+        load_scenario(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_evac_objective_spec():

@@ -216,6 +216,15 @@ def test_evac_malformed_scenario_file(tmp_path, capsys, body, message):
     assert err[0].startswith(f"error: {path}") and message in err[0]
 
 
+def test_evac_scenario_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "scene.txt"
+    path.write_bytes(b"\xff\xfearea 10 10\n1 2 1\n")
+    assert main(["evac", "--scenario-file", str(path), *FAST]) == USAGE_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}: ") and "can't decode" in err[0]
+
+
 @pytest.mark.parametrize(
     "area",
     [["--width", "-5"], ["--height", "0"], ["--width", "inf"],
