@@ -110,7 +110,7 @@ def antenna_fitness(candidate):
         return PENALTY_WEIGHT * violation + PENALTY_OFFSET
     af = _array_factor(_SIDELOBE_U, _SIDELOBE_FIXED_TERM, candidate)
     # log10 is monotone, so the level of the peak is the peak of the levels
-    return float(20.0 * np.log10(max(np.abs(af).max(), 1e-300)))
+    return 20.0 * np.log10(max(np.abs(af).max(), 1e-300))
 
 
 def antenna_objective():
@@ -224,7 +224,7 @@ def evac_fitness(exit_parameter, scenario):
     dist = evac_distance(door, scenario.positions)
     # the scenario has already checked its speeds and formula
     time = TIME_FORMULAS[scenario.time_formula]
-    return float(np.mean(time(dist, scenario.desired_speeds)))
+    return np.mean(time(dist, scenario.desired_speeds))
 
 
 def evac_objective(scenario):
@@ -257,12 +257,12 @@ def _finite_numbers(fields, count, where):
 def load_scenario(path, time_formula="paper"):
     """Read a :func:`save_scenario` file.
 
-    Raises ValueError naming the file, and the line where there is one, for
-    a file that is not UTF-8, a malformed header or row, an empty crowd or an
-    invalid scenario.
+    A leading UTF-8 byte-order mark is skipped.  Raises ValueError naming the
+    file, and the line where there is one, for a file that is not UTF-8, a
+    malformed header or row, an empty crowd or an invalid scenario.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -28,7 +28,7 @@ def chebyshev(z):
         p = y * p + z[j]
     grid = p[:-2]
     outside = np.abs(grid) > 1.0
-    total = float(np.sum((1.0 - np.abs(grid[outside])) ** 2))
+    total = np.sum((1.0 - np.abs(grid[outside])) ** 2)
     for end in p[-2:]:
         if end < upper:
             total += end * end
@@ -40,7 +40,7 @@ def inverse_hilbert(z):
     b = int(round(np.sqrt(z.size)))
     H = 1.0 / (np.add.outer(np.arange(b), np.arange(b)) + 1.0)
     X = z.reshape(b, b)
-    return float(np.sum(np.abs(H @ X - np.eye(b))))
+    return np.sum(np.abs(H @ X - np.eye(b)))
 
 
 def lennard_jones(z):
@@ -52,7 +52,7 @@ def lennard_jones(z):
     total = 0.0
     for u in np.sum((atoms[j] - atoms[i]) ** 2, axis=1) ** 3:
         total += (1.0 / u - 2.0) / u if u > 1e-10 else 1e20
-    return float(total)
+    return total
 
 
 def modified_schwefel(z):
@@ -66,20 +66,20 @@ def modified_schwefel(z):
             # fold back inside from the edge that v crossed
             edge, w = (500.0, 500.0 - v % 500.0) if v > 0.0 else (-500.0, abs(v) % 500.0 - 500.0)
             g[i] = w * np.sin(np.sqrt(abs(w))) - (v - edge) ** 2 / (10000.0 * n)
-    return float(418.9829 * n - np.sum(g))
+    return 418.9829 * n - np.sum(g)
 
 
 def expanded_schaffer_f6(z):
     y = np.roll(z, -1)
     s = z * z + y * y
-    return float(np.sum(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2))
+    return np.sum(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2)
 
 
 def happy_cat(z):
     n = z.size
     s2 = float(np.sum(z * z))
     s1 = float(np.sum(z))
-    return float(abs(s2 - n) ** 0.25 + (0.5 * s2 + s1) / n + 0.5)
+    return abs(s2 - n) ** 0.25 + (0.5 * s2 + s1) / n + 0.5
 
 
 _FUNCTIONS = {

@@ -22,34 +22,34 @@ DIM = 10
 
 
 def sphere(z):
-    return float(np.sum(z * z))
+    return np.sum(z * z)
 
 
 def abs_sum_prod(z):
     a = np.abs(z)
-    return float(np.sum(a) + np.prod(a))
+    return np.sum(a) + np.prod(a)
 
 
 def cumulative_sq(z):
     c = np.cumsum(z)
-    return float(np.sum(c * c))
+    return np.sum(c * c)
 
 
 def max_abs(z):
-    return float(np.max(np.abs(z)))
+    return np.max(np.abs(z))
 
 
 def rosenbrock(z):
-    return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (z[:-1] - 1.0) ** 2))
+    return np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (z[:-1] - 1.0) ** 2)
 
 
 def rounded_sphere(z):
-    return float(np.sum(np.floor(z + 0.5) ** 2))
+    return np.sum(np.floor(z + 0.5) ** 2)
 
 
 def quartic(z):
     i = np.arange(1, z.size + 1)
-    return float(np.sum(i * z**4))
+    return np.sum(i * z**4)
 
 
 def quartic_noise(z, rng):
@@ -59,16 +59,16 @@ def quartic_noise(z, rng):
 
 
 def schwefel_sq_sin(z):
-    return float(np.sum(-(z**2) * np.sin(np.sqrt(np.abs(z)))))
+    return np.sum(-(z**2) * np.sin(np.sqrt(np.abs(z))))
 
 
 def rastrigin(z):
-    return float(np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0))
+    return np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0)
 
 
 def ackley(z):
     n = z.size
-    return float(
+    return (
         -20.0 * np.exp(-0.2 * np.sqrt(np.sum(z * z) / n))
         - np.exp(np.sum(np.cos(2.0 * np.pi * z)) / n)
         + 20.0
@@ -78,13 +78,13 @@ def ackley(z):
 
 def griewank(z):
     i = np.arange(1, z.size + 1)
-    return float(np.sum(z * z) / 4000.0 - np.prod(np.cos(z / np.sqrt(i))) + 1.0)
+    return np.sum(z * z) / 4000.0 - np.prod(np.cos(z / np.sqrt(i))) + 1.0
 
 
 def _penalty(z, a):
     over = np.where(z > a, 100.0 * (z - a) ** 4.0, 0.0)
     under = np.where(z < -a, 100.0 * (-z - a) ** 4.0, 0.0)
-    return float(np.sum(over + under))
+    return np.sum(over + under)
 
 
 def penalized1(z):
@@ -95,7 +95,7 @@ def penalized1(z):
         + np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
         + (y[-1] - 1.0) ** 2
     )
-    return float(np.pi / n * core + _penalty(z, 10.0))
+    return np.pi / n * core + _penalty(z, 10.0)
 
 
 def penalized2(z):
@@ -104,7 +104,7 @@ def penalized2(z):
         + np.sum((z[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * z[1:]) ** 2))
         + (z[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * z[-1]) ** 2)
     )
-    return float(0.1 * core + _penalty(z, 5.0))
+    return 0.1 * core + _penalty(z, 5.0)
 
 
 # the standard Weierstrass terms a = 0.5, b = 3, k = 0..20
@@ -115,7 +115,7 @@ _WEIERSTRASS_OFFSET = np.sum(_WEIERSTRASS_AK * np.cos(np.pi * _WEIERSTRASS_BK))
 
 def weierstrass(z):
     total = np.sum(_WEIERSTRASS_AK * np.cos(2.0 * np.pi * np.outer(z + 0.5, _WEIERSTRASS_BK)))
-    return float(total - z.size * _WEIERSTRASS_OFFSET)
+    return total - z.size * _WEIERSTRASS_OFFSET
 
 
 # -- composite machinery -----------------------------------------------------
@@ -129,7 +129,7 @@ COMPOSITE_SCALE = 2000.0
 class CompositeSpec:
     """Weighted composition of ten basic functions (CEC2005 style)."""
 
-    components: list  # 10 callables z -> float
+    components: list  # 10 callables z -> real scalar
     sigmas: np.ndarray
     lambdas: np.ndarray
     component_optima: np.ndarray  # (10, dim)
@@ -174,7 +174,7 @@ def composite_evaluate(spec, x):
             continue
         fi = COMPOSITE_SCALE * f(deltas[i] / spec.lambdas[i]) / spec.fmax[i]
         value += w[i] * (fi + spec.biases[i])
-    return float(value)
+    return value
 
 
 def _composite_spec(index, components, sigmas, lambdas):

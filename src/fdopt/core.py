@@ -95,6 +95,7 @@ class RunConfig:
         _require_int("seed", self.seed, 0)
         _require_choice("mode", self.mode, MODES)
         _require_choice("wf_scope", self.wf_scope, WF_SCOPES)
+        _require_choice("record_positions", self.record_positions, (False, True))
         wf = self.fdo_wf
         if isinstance(wf, bool) or not isinstance(wf, Real) or not 0.0 <= wf <= 1.0:
             raise ValueError(f"fdo_wf must be a real number in [0, 1], got {wf!r}")

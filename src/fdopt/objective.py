@@ -11,17 +11,17 @@ from .core import Bounds
 class ObjectiveSpec:
     """A benchmark or application objective.
 
-    ``evaluate`` applies the shift as f(x - shift), so a function whose base
-    form has its optimum at the origin attains it at x = shift.  ``optimum``
-    records the actual minimizer in original coordinates when it is known
-    (for base forms whose minimum is not at the origin it differs from the
-    shift).  ``rng`` is only consumed by noisy evaluators.
+    ``evaluate`` returns f(x - shift) as a Python float (the evaluator may
+    return any real scalar), so a base form with its optimum at the origin
+    attains it at x = shift.  ``optimum`` is the actual minimizer in original
+    coordinates when known; it differs from the shift for a base form whose
+    minimum is off the origin.  ``rng`` is only consumed by noisy evaluators.
     """
 
     id: str
     dimension: int
     bounds: Bounds
-    evaluator: object  # callable (z, rng) -> float on shifted coordinates
+    evaluator: object  # callable (z, rng) -> real scalar on shifted coordinates
     shift: np.ndarray = None
     known_fmin: float | None = None
     tabulated_fmin: float | None = None
@@ -48,7 +48,7 @@ class ObjectiveSpec:
 
 
 def deterministic(kernel):
-    """Wrap an rng-free kernel into the (z, rng) evaluator signature."""
+    """Wrap an rng-free kernel, z -> real scalar, into the (z, rng) evaluator signature."""
 
     def evaluator(z, rng):
         return kernel(z)

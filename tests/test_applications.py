@@ -366,6 +366,15 @@ def test_load_scenario_names_a_file_that_is_not_utf8(tmp_path):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_load_scenario_skips_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_bytes(b"\xef\xbb\xbfarea 10 10\n1 2 1\n")
+    scenario = load_scenario(path)
+    assert (scenario.width, scenario.height) == (10.0, 10.0)
+    np.testing.assert_array_equal(scenario.positions, [[1.0, 2.0]])
+    np.testing.assert_array_equal(scenario.desired_speeds, [1.0])
+
+
 def test_evac_objective_spec():
     scenario = build_scenario(50.0, 50.0, 10, seed=0)
     spec = evac_objective(scenario)

@@ -143,6 +143,13 @@ def test_evac_scenario_file(tmp_path, capsys):
     assert "exit arclength:" in capsys.readouterr().out
 
 
+def test_evac_scenario_file_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "scene.txt"
+    path.write_bytes(b"\xef\xbb\xbfarea 10 10\n1 2 1\n")
+    assert main(["evac", "--scenario-file", str(path), *FAST]) == 0
+    assert "exit arclength:" in capsys.readouterr().out
+
+
 def test_evac_missing_scenario_file(capsys):
     code = main(["evac", "--scenario-file", "/nonexistent/scene.txt"])
     assert code == IO_ERROR

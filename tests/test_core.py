@@ -462,6 +462,18 @@ def test_config_validation():
         RunConfig(wf_scope="global")
 
 
+@pytest.mark.parametrize("flag", ["no", 0.5, None, 2])
+def test_config_rejects_record_positions_that_is_not_a_bool(flag):
+    with pytest.raises(ValueError, match="record_positions"):
+        RunConfig(population=3, iterations=2, record_positions=flag)
+
+
+@pytest.mark.parametrize("flag", [np.bool_(True), np.bool_(False), 0, 1])
+def test_config_accepts_bool_like_record_positions(flag):
+    record = run(RunConfig(population=3, iterations=2, record_positions=flag), sphere_objective(2))
+    assert (record.positions is not None) == bool(flag)
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         Bounds(np.array([0.0]), np.array([0.0]))

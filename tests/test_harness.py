@@ -82,6 +82,12 @@ def test_non_integer_or_negative_count_fails_at_construction(setting, name):
         ExperimentConfig(objective_id="TF1", mode=IFDO, **setting)
 
 
+@pytest.mark.parametrize("flag", ["no", 0.5, None, 2])
+def test_record_positions_that_is_not_a_bool_fails_at_construction(flag):
+    with pytest.raises(ValueError, match="record_positions"):
+        ExperimentConfig(objective_id="TF1", mode=IFDO, record_positions=flag)
+
+
 def test_seed_derivation():
     config = small_config(base_seed=100)
     assert config.run_config(0).seed == 100

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from fdopt import classical
+from fdopt.applications import is_feasible
 from fdopt.objective import ObjectiveSpec, box, deterministic
+from fdopt.registry import all_objectives, get_objective
 from fdopt.classical import (
     COMPOSITE_SCALE,
     catalog,
@@ -112,6 +114,30 @@ def test_purity_of_deterministic_evaluators():
         spec = SPECS[fid]
         x = rng.uniform(spec.bounds.lower, spec.bounds.upper)
         assert spec.evaluate(x) == spec.evaluate(x)
+
+
+@pytest.mark.parametrize("spec", all_objectives(), ids=lambda spec: spec.id)
+def test_evaluate_returns_a_python_float(spec):
+    """Kernels return numpy's scalar; ``evaluate`` is the one conversion."""
+    x = np.random.default_rng(5).uniform(spec.bounds.lower, spec.bounds.upper)
+    assert type(spec.evaluate(x, np.random.default_rng(0))) is float
+
+
+def test_every_objective_is_checked_for_a_python_float():
+    assert len(all_objectives()) == 31
+
+
+@pytest.mark.parametrize("layout, feasible", [([0.25, 0.75, 1.25, 1.75], True), ([0.5] * 4, False)])
+def test_antenna_returns_a_python_float_on_both_branches(layout, feasible):
+    assert is_feasible(layout) is feasible
+    assert type(get_objective("ANTENNA").evaluate(layout)) is float
+
+
+@pytest.mark.parametrize("value", [np.float32(1.5), np.float64(1.5), 3], ids=["f32", "f64", "int"])
+def test_evaluate_converts_a_user_evaluator_value(value):
+    spec = ObjectiveSpec("USER", 2, box(2, -1.0, 1.0), evaluator=lambda z, rng: value)
+    result = spec.evaluate(np.zeros(2))
+    assert type(result) is float and result == value
 
 
 def test_dimension_mismatch_rejected():
