@@ -7,22 +7,32 @@ code) is deliberately not hard-coded; ``known_fmin`` records the raw floor
 where one is analytically established.
 """
 
+import functools
+
 import numpy as np
 
 from .objective import ObjectiveSpec, box, deterministic
 from .classical import rastrigin, griewank, weierstrass, ackley
 
 
-def chebyshev(z):
-    """Storn's Chebyshev polynomial fitting problem (d = 9)."""
-    n = z.size
+@functools.cache
+def _chebyshev_points(n):
+    """The sample grid of dimension ``n`` with the two endpoints after it, read-only,
+    and the bound T_{n-1}(1.2); both depend on ``n`` only, so they are built once."""
     # T_{n-1}(1.2) via the Chebyshev recurrence
     a, b = 1.0, 1.2
     for _ in range(n - 2):
         a, b = b, 2.4 * b - a
-    upper = b
-    # one Horner pass over the sample grid and the two endpoints after it
     y = np.append(np.linspace(-1.0, 1.0, 32 * n + 1), (-1.2, 1.2))
+    y.flags.writeable = False
+    return y, b
+
+
+def chebyshev(z):
+    """Storn's Chebyshev polynomial fitting problem (d = 9)."""
+    n = z.size
+    y, upper = _chebyshev_points(n)
+    # one Horner pass over the sample grid and the two endpoints after it
     p = np.full(y.size, z[0])
     for j in range(1, n):
         p = y * p + z[j]

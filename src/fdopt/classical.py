@@ -14,15 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import ObjectiveSpec, box, deterministic
+from .objective import ObjectiveSpec, box, deterministic, over_last_axis
 
 DIM = 10
 
 # -- basic kernels -----------------------------------------------------------
 
 
+@over_last_axis
 def sphere(z):
-    return np.sum(z * z)
+    return (z * z).sum(axis=-1)
 
 
 def abs_sum_prod(z):
@@ -62,8 +63,9 @@ def schwefel_sq_sin(z):
     return np.sum(-(z**2) * np.sin(np.sqrt(np.abs(z))))
 
 
+@over_last_axis
 def rastrigin(z):
-    return np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0)
+    return (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=-1)
 
 
 def ackley(z):

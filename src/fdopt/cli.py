@@ -122,7 +122,25 @@ def _best_run(args, objective):
     return min(result.records, key=lambda r: r.best_fitness)
 
 
+def _require_writable(path):
+    """Raise OSError naming ``path`` unless a file can be written there; creates nothing."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(folder):
+        reason = f"no directory {folder}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise OSError(f"cannot write {path}: {reason}")
+
+
 def cmd_run(args):
+    # checked before the experiment, so a bad path does not throw its runs away
+    for path in (args.out, args.trace, args.history):
+        if path:
+            _require_writable(path)
     result = _experiment(args, args.function, args.algo, record_positions=bool(args.history))
     print(
         f"{args.function.id} {args.algo} runs={args.runs} "

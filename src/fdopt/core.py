@@ -5,10 +5,12 @@ steered by a fitness weight (ratio of the global best fitness to the
 scout's own fitness) and, in IFDO mode, by alignment/cohesion terms
 computed over the scout's neighborhood.  All randomness flows through a
 single seeded ``numpy.random.Generator`` so a run is fully reproducible.
+``run`` advances one swarm; ``run_many`` advances several runs that differ
+only in their seed together, each with the bits ``run`` gives it.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gamma, isfinite, pi, sin
 from numbers import Integral, Real
 
@@ -125,7 +127,12 @@ class SwarmState:
 
 @dataclass
 class RunRecord:
-    """Trace of a single run."""
+    """Trace of a single run.
+
+    ``wall_time_s`` is the run's wall time; a run of a lockstep batch
+    (``run_many``) gets its share, the batch's wall time divided by the
+    number of runs.
+    """
 
     trace: np.ndarray  # per-iteration global best, shape (iterations,)
     best_position: np.ndarray
@@ -159,6 +166,11 @@ def compute_fitness_weight(best_fitness, current_fitness, wf, mode):
     return ratio - wf if mode == FDO or ratio > wf else ratio
 
 
+def _walks(fw):
+    """Whether the fitness weight ``fw`` sends its scout on a random walk: fw at 0 or 1."""
+    return abs(fw) < FW_TOL or abs(fw - 1.0) < FW_TOL
+
+
 def compute_pace(position, global_best_position, fw, r, rng):
     """Movement vector for one scout.
 
@@ -167,7 +179,7 @@ def compute_pace(position, global_best_position, fw, r, rng):
     the global best, scaled by fw, with the sign set by ``r``.
     """
     position = np.asarray(position, dtype=float)
-    if abs(fw) < FW_TOL or abs(fw - 1.0) < FW_TOL:
+    if _walks(fw):
         return position * levy_random(rng, size=position.size)
     direction = position - np.asarray(global_best_position, dtype=float)
     return direction * (-fw if r < 0.0 else fw)
@@ -229,13 +241,19 @@ def enforce_bounds(position, bounds, rng):
     the clamp then runs once over the whole vector.
     """
     out = np.array(position, dtype=float)
-    lb, ub = bounds.lower, bounds.upper
-    above, below = out > ub, out < lb
-    crossed = above | below
+    above = out > bounds.upper
+    crossed = above | (out < bounds.lower)
     if crossed.any():
-        out[crossed] = np.where(above, ub, lb)[crossed] * rng.random(np.count_nonzero(crossed))
-        out.clip(lb, ub, out=out)
+        _repair(out, crossed, above, bounds, rng)
     return out
+
+
+def _repair(out, crossed, above, bounds, rng):
+    """``enforce_bounds``' repair of the vector ``out`` in place, given its
+    ``crossed`` coordinates and those of them ``above`` the box."""
+    lb, ub = bounds.lower, bounds.upper
+    out[crossed] = np.where(above, ub, lb)[crossed] * rng.random(np.count_nonzero(crossed))
+    out.clip(lb, ub, out=out)
 
 
 def update_weight_factor(wf, mode, rng):
@@ -344,6 +362,157 @@ def run(config, objective):
         wall_time_s=time.perf_counter() - start,
         positions=history,
     )
+
+
+class _Lockstep:
+    """R runs of one configuration, differing only in their seed, as (R, p, d) state.
+
+    Scout i of every run moves in one ``scout`` call, and the scouts of a
+    run move in order, as in ``step``.  Each run keeps its own generator
+    and draws in ``step``'s order: ``r``, the random walk's heavy-tailed
+    draws, then per try the bound repair, the noise and, on an accept, the
+    weight-factor draw.  Only the arithmetic across runs is batched.
+    """
+
+    def __init__(self, swarms, objective):
+        self.objective = objective
+        self.mode, self.wf_scope = swarms[0].mode, swarms[0].wf_scope
+        self.rngs = [s.rng for s in swarms]
+        self.positions = np.stack([s.positions for s in swarms])
+        self.paces = np.stack([s.paces for s in swarms])
+        self.fitness = np.stack([s.fitness for s in swarms])
+        self.weight_factors = np.stack([s.weight_factors for s in swarms])
+        self.best_positions = np.stack([s.global_best_position for s in swarms])
+        self.best_fitness = np.array([s.global_best_fitness for s in swarms])
+        self.nl = neighbor_landscape(objective.bounds) if self.mode == IFDO else None
+
+    def proposal_terms(self, i):
+        """What ``propose_position`` adds to position + pace for scout ``i``
+        in IFDO: per run whether it has neighbors, and alignment / cohesion
+        of its ``neighborhood``, 0.0 where the cohesion is below ``COHESION_TOL``.
+
+        Each mean is the sum over the neighbors in scout order, divided by
+        the count.  For d >= 2 non-neighbors are filled with -0.0, which
+        leaves every sum's bits alone.  For d = 1 the summed axis is
+        contiguous and numpy sums it pairwise, so a fill would regroup the
+        additions; there each run sums its own neighbor rows.
+        """
+        positions, paces = self.positions, self.paces
+        runs, p, d = positions.shape
+        own = positions[:, i]
+        deltas = (positions - own[:, None]).reshape(runs * p, d)
+        mask = (np.sqrt(np.einsum("ij,ij->i", deltas, deltas)) <= self.nl).reshape(runs, p)
+        mask[:, i] = False
+        count = mask.sum(axis=1)
+        if d > 1:
+            pace_sums = np.where(mask[..., None], paces, -0.0).sum(axis=1)
+            position_sums = np.where(mask[..., None], positions, -0.0).sum(axis=1)
+        else:
+            pace_sums = np.stack([v[m].sum(axis=0) for v, m in zip(paces, mask)])
+            position_sums = np.stack([x[m].sum(axis=0) for x, m in zip(positions, mask)])
+        divisor = np.maximum(count, 1)[:, None]
+        alignment = pace_sums / divisor
+        cohesion = position_sums / divisor - own
+        extra = np.zeros_like(alignment)
+        np.divide(alignment, cohesion, out=extra, where=np.abs(cohesion) >= COHESION_TOL)
+        return count > 0, extra
+
+    def scout(self, i):
+        """Move scout ``i`` of every run: ``step``'s loop body, batched over runs."""
+        mode, rngs, best_positions = self.mode, self.rngs, self.best_positions
+        here = self.positions[:, i]
+        current = self.fitness[:, i].tolist()
+        bests = self.best_fitness.tolist()
+        wfs = self.weight_factors[:, i].tolist()
+        signed, walks = [], {}
+        for k, rng in enumerate(rngs):
+            r = rng.standard_normal(2)[0]
+            fw = compute_fitness_weight(bests[k], current[k], wfs[k], mode)
+            signed.append(-fw if r < 0.0 else fw)
+            if _walks(fw):
+                walks[k] = compute_pace(here[k], best_positions[k], fw, r, rng)
+        fresh = (here - best_positions) * np.array(signed)[:, None]
+        for k, pace in walks.items():
+            fresh[k] = pace
+        terms = None if self.nl is None else self.proposal_terms(i)
+        rejected = self._try(i, range(len(rngs)), here + fresh, fresh, terms, current, wfs)
+        if rejected:
+            # basic indexing while every run is left, which is the common case
+            rows = slice(None) if len(rejected) == len(rngs) else rejected
+            saved = self.paces[rows, i]
+            terms = None if terms is None else (terms[0][rows], terms[1][rows])
+            self._try(i, rejected, here[rows] + saved, saved, terms, current, wfs)
+
+    def _try(self, i, runs, candidates, paces, terms, current, wfs):
+        """One try of scout ``i`` in ``runs``: propose, repair, evaluate, accept.
+
+        ``candidates`` holds position + pace, to which runs with neighbors
+        add the IFDO ``terms``.  Returns the runs that rejected their candidate.
+        """
+        if terms is not None:
+            has, extra = terms
+            np.add(candidates, extra, out=candidates, where=has[:, None])
+        bounds, rngs = self.objective.bounds, self.rngs
+        above = candidates > bounds.upper
+        crossed = above | (candidates < bounds.lower)
+        for j in crossed.any(axis=1).nonzero()[0].tolist():
+            _repair(candidates[j], crossed[j], above[j], bounds, rngs[runs[j]])
+        values = self.objective.evaluate_many(candidates, [rngs[k] for k in runs])
+        rejected = []
+        for j, k in enumerate(runs):
+            value = values[j] if isfinite(values[j]) else np.inf
+            if not value < current[k]:
+                rejected.append(k)
+                continue
+            self.positions[k, i] = candidates[j]
+            self.paces[k, i] = paces[j]
+            self.fitness[k, i] = value
+            new_wf = update_weight_factor(wfs[k], self.mode, rngs[k])
+            if self.wf_scope == "swarm":
+                self.weight_factors[k] = new_wf
+            else:
+                self.weight_factors[k, i] = new_wf
+            if value < self.best_fitness[k]:
+                self.best_fitness[k] = value
+                self.best_positions[k] = candidates[j]
+        return rejected
+
+
+def run_many(configs, objective):
+    """Run ``configs``, which differ only in their seed, in lockstep; one RunRecord each.
+
+    Record k equals ``run(configs[k], objective)`` bit for bit.  Each
+    ``wall_time_s`` is the run's share, the batch's wall time divided by
+    the number of runs.  With ``record_positions`` the records' positions
+    are views into one (R, iterations, p, d) block.
+    """
+    if not configs:
+        raise ValueError("run_many needs at least one config")
+    first = configs[0]
+    if any(replace(c, seed=first.seed) != first for c in configs):
+        raise ValueError("run_many needs configs that differ only in their seed")
+    start = time.perf_counter()
+    batch = _Lockstep([init_population(c, objective) for c in configs], objective)
+    runs, p, d = batch.positions.shape
+    trace = np.empty((runs, first.iterations))
+    history = np.empty((runs, first.iterations, p, d)) if first.record_positions else None
+    for t in range(first.iterations):
+        for i in range(p):
+            batch.scout(i)
+        trace[:, t] = batch.best_fitness
+        if history is not None:
+            history[:, t] = batch.positions
+    share = (time.perf_counter() - start) / runs
+    return [
+        RunRecord(
+            trace=trace[k],
+            best_position=batch.best_positions[k].copy(),
+            best_fitness=float(batch.best_fitness[k]),
+            wall_time_s=share,
+            positions=None if history is None else history[k],
+        )
+        for k in range(runs)
+    ]
 
 
 def first_best_iteration(trace):

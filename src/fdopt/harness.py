@@ -11,9 +11,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import RunConfig, _require_choice, _require_int, run
+from .core import RunConfig, _require_choice, _require_int, run, run_many
 
 _FMT = "{:.17g}"
+# from this many runs on an experiment runs them in lockstep (core.run_many);
+# below it one core.run after another is faster
+LOCKSTEP_MIN_RUNS = 3
 SUMMARY_COLUMNS = ("objective", "mode", "runs", "population", "iterations", "mean", "std")
 
 
@@ -58,12 +61,21 @@ class ExperimentResult:
 
 
 def run_experiment(config, objective):
-    """Execute ``config.runs`` independent runs, one after another, and aggregate them."""
+    """Execute ``config.runs`` independent runs and aggregate them.
+
+    From ``LOCKSTEP_MIN_RUNS`` runs on they advance together in
+    ``core.run_many``; fewer run one ``core.run`` after another.  Both
+    give every run the same bits.
+    """
     if config.objective_id != objective.id:
         raise ValueError(
             f"config is for objective {config.objective_id!r}, got objective {objective.id!r}"
         )
-    records = [run(config.run_config(k), objective) for k in range(config.runs)]
+    configs = [config.run_config(k) for k in range(config.runs)]
+    if config.runs >= LOCKSTEP_MIN_RUNS:
+        records = run_many(configs, objective)
+    else:
+        records = [run(c, objective) for c in configs]
     return ExperimentResult(config=config, records=records)
 
 

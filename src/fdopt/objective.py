@@ -46,13 +46,46 @@ class ObjectiveSpec:
             )
         return float(self.evaluator(x - self.shift, rng))
 
+    def evaluate_many(self, X, rngs):
+        """``evaluate`` of every row of the (n, d) batch ``X``, as a list of n floats.
+
+        ``rngs`` holds one generator (or None) per row.  An evaluator with a
+        ``batch`` kernel written over the last axis evaluates all rows in
+        one call; any other evaluates row by row in row order, row k
+        drawing from ``rngs[k]``.  Either way each value has the bits
+        ``evaluate`` gives for its row.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dimension or len(rngs) != X.shape[0]:
+            raise ValueError(
+                f"{self.id}: expected an (n, {self.dimension}) batch and n generators, "
+                f"got shape {X.shape} and {len(rngs)} generators"
+            )
+        Z = X - self.shift
+        batch = getattr(self.evaluator, "batch", None)
+        if batch is not None:
+            return batch(Z).tolist()
+        return [float(self.evaluator(z, rng)) for z, rng in zip(Z, rngs)]
+
+
+def over_last_axis(kernel):
+    """Mark ``kernel`` as written over the last axis: it maps one vector to
+    its value and an (n, d) batch to its n values, with the same bits per row."""
+    kernel.over_last_axis = True
+    return kernel
+
 
 def deterministic(kernel):
-    """Wrap an rng-free kernel, z -> real scalar, into the (z, rng) evaluator signature."""
+    """Wrap an rng-free kernel, z -> real scalar, into the (z, rng) evaluator signature.
+
+    A kernel marked by ``over_last_axis`` is also kept as the evaluator's
+    ``batch``, which ``ObjectiveSpec.evaluate_many`` calls on a whole batch.
+    """
 
     def evaluator(z, rng):
         return kernel(z)
 
+    evaluator.batch = kernel if getattr(kernel, "over_last_axis", False) else None
     return evaluator
 
 

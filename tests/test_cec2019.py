@@ -217,3 +217,11 @@ def test_inverse_hilbert_exact_inverse_is_zero():
     H = 1.0 / (np.add.outer(np.arange(4), np.arange(4)) + 1.0)
     X = np.linalg.inv(H)
     assert cec2019.inverse_hilbert(X.ravel()) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_chebyshev_builds_its_grid_once_per_dimension():
+    y, upper = cec2019._chebyshev_points(9)
+    assert cec2019._chebyshev_points(9)[0] is y
+    assert not y.flags.writeable
+    assert y.size == 32 * 9 + 1 + 2 and y[-2:].tolist() == [-1.2, 1.2]
+    assert upper == pytest.approx(math.cosh(8 * math.acosh(1.2)), rel=1e-12)

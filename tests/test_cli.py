@@ -1,6 +1,7 @@
 """Tests for the command-line frontend, driven in-process through main()."""
 
 import csv
+import os
 
 import pytest
 
@@ -78,6 +79,33 @@ def test_run_io_error(tmp_path, capsys):
          "--out", str(tmp_path / "no" / "dir" / "x.csv")]
     )
     assert code == IO_ERROR
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "no-permission"])
+@pytest.mark.parametrize("flag", ["--out", "--trace", "--history"])
+def test_run_checks_its_export_paths_before_any_run(flag, target, tmp_path, monkeypatch, capsys):
+    from fdopt import cli, harness
+
+    monkeypatch.setattr(harness, "run_experiment", lambda *args: pytest.fail("an experiment ran"))
+    bad = {
+        "missing-directory": tmp_path / "nonexistent" / "x.csv",
+        "directory": tmp_path,
+        "no-permission": tmp_path / "locked" / "x.csv",
+    }[target]
+    if target == "no-permission":
+        # the check asks os.access, which grants a superuser everything
+        locked = str(bad.parent)
+        access = os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != locked and access(path, mode))
+        bad.parent.mkdir()
+    paths = {f: tmp_path / f"{f[2:]}.csv" for f in ("--out", "--trace", "--history")}
+    paths[flag] = bad
+    argv = ["run", "--function", "TF1", "--algo", "ifdo", "--runs", "3", *FAST]
+    code = main(argv + [a for f, path in paths.items() for a in (f, str(path))])
+    assert code == IO_ERROR
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err and captured.out == ""
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_list_catalog(capsys):

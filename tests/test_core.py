@@ -24,11 +24,13 @@ from fdopt.core import (
     neighborhood,
     propose_position,
     run,
+    run_many,
     step,
     update_weight_factor,
 )
 from fdopt.objective import ObjectiveSpec, box, deterministic
 from fdopt.classical import sphere, rastrigin
+from fdopt.registry import all_objectives
 
 
 def sphere_objective(dim, low=-1.0, high=1.0):
@@ -671,3 +673,114 @@ def test_non_finite_values_are_never_accepted(config, bad, threshold):
         assert not np.any(np.isnan(swarm.fitness))
         if np.isfinite(swarm.global_best_fitness):
             assert swarm.global_best_position[0] <= threshold
+
+
+# -- the lockstep engine -----------------------------------------------------
+
+
+def _same_record(a, b):
+    """Byte-identical trace, best position, best value and recorded positions."""
+    positions = (a.positions is None) == (b.positions is None) and (
+        a.positions is None or a.positions.tobytes() == b.positions.tobytes()
+    )
+    return (
+        a.trace.tobytes() == b.trace.tobytes()
+        and a.best_position.tobytes() == b.best_position.tobytes()
+        and a.best_fitness == b.best_fitness
+        and positions
+    )
+
+
+@pytest.mark.parametrize("wf_scope", core.WF_SCOPES)
+@pytest.mark.parametrize("mode", core.MODES)
+@pytest.mark.parametrize("objective", all_objectives(), ids=lambda spec: spec.id)
+def test_run_many_equals_run_bit_for_bit(objective, mode, wf_scope):
+    configs = [
+        RunConfig(population=6, iterations=10, mode=mode, wf_scope=wf_scope, seed=seed,
+                  record_positions=True)
+        for seed in (3, 4, 5)
+    ]
+    for config, record in zip(configs, run_many(configs, objective)):
+        assert _same_record(record, run(config, objective))
+
+
+def test_run_many_sums_one_dimensional_neighborhoods_run_by_run():
+    """EVAC (d = 1) with enough neighbors that numpy sums them pairwise: a
+    sum over all scouts with non-neighbors filled by -0.0 groups the
+    additions differently and changes bits."""
+    objective = next(spec for spec in all_objectives() if spec.id == "EVAC")
+    configs = [RunConfig(population=12, iterations=10, mode=IFDO, seed=s) for s in (3, 4, 5)]
+    for config, record in zip(configs, run_many(configs, objective)):
+        assert _same_record(record, run(config, objective))
+
+
+def test_run_many_adds_no_neighborhood_term_without_neighbors():
+    """A lone scout at -0.0 whose fresh pace is -0.0: adding a 0.0 term
+    would propose 0.0 where ``step`` proposes -0.0."""
+    seen = []
+
+    def recorder(z, rng):
+        seen.append(z.tobytes())
+        return sphere(z)
+
+    def lone_scout():
+        at = np.array([-0.0, 0.5])
+        # seed 4 draws a negative r, so the pace toward the best is -0.0
+        return SwarmState(positions=at[None].copy(), paces=np.zeros((1, 2)),
+                          fitness=np.array([0.25]), global_best_position=at.copy(),
+                          global_best_fitness=0.25, weight_factors=np.array([0.5]), mode=IFDO,
+                          rng=np.random.default_rng(4))
+
+    objective = ObjectiveSpec(id="rec", dimension=2, bounds=box(2, -1, 1), evaluator=recorder)
+    step(lone_scout(), objective)
+    alone, seen[:] = list(seen), []
+    core._Lockstep([lone_scout(), lone_scout()], objective).scout(0)
+    assert np.frombuffer(alone[0])[0].tobytes() == np.float64(-0.0).tobytes()
+    assert seen == [b for b in alone for _ in range(2)]
+
+
+def _poisoned(z, rng):
+    return np.nan if z[0] > 0.5 else sphere(z)
+
+
+LOCKSTEP_OBJECTIVES = {
+    **PROPERTY_OBJECTIVES,
+    "sphere1": sphere_objective(1),
+    "poisoned": ObjectiveSpec(id="poisoned", dimension=2, bounds=box(2, -1, 1), evaluator=_poisoned),
+}
+
+
+@run_settings
+@given(small_configs, st.sampled_from(sorted(LOCKSTEP_OBJECTIVES)), st.integers(1, 4))
+def test_run_many_equals_run_on_small_swarms(config, name, runs):
+    """d = 1, 2 and 3, one to four runs, non-finite values and every setting."""
+    objective = LOCKSTEP_OBJECTIVES[name]
+    configs = [replace(config, seed=config.seed + k) for k in range(runs)]
+    for config, record in zip(configs, run_many(configs, objective)):
+        assert _same_record(record, run(config, objective))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(population=7), dict(iterations=9), dict(mode=FDO), dict(fdo_wf=1.0),
+     dict(record_positions=False), dict(wf_scope="swarm")],
+    ids=lambda change: next(iter(change)),
+)
+def test_run_many_rejects_configs_that_differ_beyond_the_seed(change):
+    base = RunConfig(population=6, iterations=10, mode=IFDO, record_positions=True)
+    with pytest.raises(ValueError, match="seed"):
+        run_many([base, replace(base, seed=1), replace(base, seed=2, **change)], sphere_objective(2))
+
+
+def test_run_many_needs_a_config():
+    with pytest.raises(ValueError, match="config"):
+        run_many([], sphere_objective(2))
+
+
+def test_run_many_records_are_views_of_one_block_with_a_share_of_the_time():
+    configs = [RunConfig(population=4, iterations=5, seed=s, record_positions=True) for s in range(3)]
+    records = run_many(configs, sphere_objective(2))
+    block = records[0].positions.base
+    assert block.shape == (3, 5, 4, 2)
+    assert all(r.positions.base is block for r in records)
+    assert len({r.wall_time_s for r in records}) == 1

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from fdopt import harness
+from fdopt import core, harness
 from fdopt.core import FDO, IFDO
 from fdopt.harness import (
     ExperimentConfig,
@@ -60,6 +60,31 @@ def test_rejects_a_config_for_another_objective(monkeypatch):
     with pytest.raises(ValueError, match="'TF1'.*'SPH'"):
         run_experiment(small_config(objective_id="TF1"), sphere_objective())
     assert ran == []
+
+
+def test_below_the_lockstep_threshold_runs_go_one_after_another(monkeypatch):
+    seeds, run = [], harness.run
+    monkeypatch.setattr(harness, "run", lambda config, objective: seeds.append(config.seed)
+                        or run(config, objective))
+    monkeypatch.setattr(harness, "run_many", lambda *args: pytest.fail("ran in lockstep"))
+    runs = harness.LOCKSTEP_MIN_RUNS - 1
+    result = run_experiment(small_config(runs=runs, base_seed=7), sphere_objective())
+    assert seeds == [7 + k for k in range(runs)]
+    assert len(result.records) == runs
+
+
+@pytest.mark.parametrize("more", [0, 2])
+def test_from_the_lockstep_threshold_runs_advance_together(monkeypatch, more):
+    monkeypatch.setattr(harness, "run", lambda *args: pytest.fail("ran one after another"))
+    config = small_config(runs=harness.LOCKSTEP_MIN_RUNS + more, record_positions=True)
+    result = run_experiment(config, sphere_objective())
+    for k, record in enumerate(result.records):
+        alone = core.run(config.run_config(k), sphere_objective())
+        assert record.trace.tobytes() == alone.trace.tobytes()
+        assert record.best_position.tobytes() == alone.best_position.tobytes()
+        assert record.positions.tobytes() == alone.positions.tobytes()
+    # each run's wall time is its share of the batch's
+    assert len({r.wall_time_s for r in result.records}) == 1
 
 
 def test_runs_validation():

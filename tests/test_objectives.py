@@ -298,3 +298,54 @@ def test_composite_spec_rejects_invalid_parts(change, message):
     )
     with pytest.raises(ValueError, match=message):
         classical.CompositeSpec(**{**parts, **change})
+
+
+def _batch_with_non_finite_rows(spec, rng):
+    """Four in-box rows, then rows with a NaN, an inf and a -inf coordinate."""
+    rows = rng.uniform(spec.bounds.lower, spec.bounds.upper, size=(7, spec.dimension))
+    for row, value in zip(rows[4:], (np.nan, np.inf, -np.inf)):
+        row[-1] = value
+    return rows
+
+
+@pytest.mark.parametrize("spec", all_objectives(), ids=lambda spec: spec.id)
+def test_evaluate_many_has_the_bits_of_evaluate_per_row(spec):
+    X = _batch_with_non_finite_rows(spec, np.random.default_rng(11))
+    many_rngs = [np.random.default_rng(k) for k in range(len(X))]
+    row_rngs = [np.random.default_rng(k) for k in range(len(X))]
+    with np.errstate(all="ignore"):
+        many = spec.evaluate_many(X, many_rngs)
+        rows = [spec.evaluate(x, rng) for x, rng in zip(X, row_rngs)]
+    assert all(type(v) is float for v in many)
+    assert np.array(many).view(np.uint64).tolist() == np.array(rows).view(np.uint64).tolist()
+    # each row draws from its own generator only, as much as evaluate does
+    for a, b in zip(many_rngs, row_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_tf7_draws_each_row_noise_from_its_own_generator():
+    spec = SPECS["TF7"]
+    X = np.random.default_rng(12).uniform(spec.bounds.lower, spec.bounds.upper, size=(5, 10))
+    many_rngs = [np.random.default_rng(100 + k) for k in range(5)]
+    row_rngs = [np.random.default_rng(100 + k) for k in range(5)]
+    assert spec.evaluate_many(X, many_rngs) == [
+        spec.evaluate(x, rng) for x, rng in zip(X, row_rngs)
+    ]
+    for a, b in zip(many_rngs, row_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("fid, kernel", [("TF1", classical.sphere), ("TF9", classical.rastrigin)])
+def test_sphere_and_rastrigin_evaluate_a_batch_in_one_call(fid, kernel):
+    assert SPECS[fid].evaluator.batch is kernel
+    assert SPECS["TF2"].evaluator.batch is None
+
+
+@pytest.mark.parametrize(
+    "shape, generators",
+    [((10,), 1), ((3, 9), 3), ((3, 11), 3), ((2, 3, 10), 2), ((3, 10), 2), ((3, 10), 4)],
+)
+def test_evaluate_many_rejects_a_wrong_batch(shape, generators):
+    with pytest.raises(ValueError, match="TF1"):
+        SPECS["TF1"].evaluate_many(np.zeros(shape), [None] * generators)
