@@ -371,92 +371,108 @@ class _Lockstep:
     run move in order, as in ``step``.  Each run keeps its own generator
     and draws in ``step``'s order: ``r``, the random walk's heavy-tailed
     draws, then per try the bound repair, the noise and, on an accept, the
-    weight-factor draw.  Only the arithmetic across runs is batched.
+    weight-factor draw.  Only the arithmetic across runs is batched; the
+    per-scout scalars (fitness, weight factors, global bests) are kept as
+    the Python floats ``step`` computes with.
     """
 
     def __init__(self, swarms, objective):
         self.objective = objective
         self.mode, self.wf_scope = swarms[0].mode, swarms[0].wf_scope
         self.rngs = [s.rng for s in swarms]
-        self.positions = np.stack([s.positions for s in swarms])
-        self.paces = np.stack([s.paces for s in swarms])
-        self.fitness = np.stack([s.fitness for s in swarms])
-        self.weight_factors = np.stack([s.weight_factors for s in swarms])
+        # positions and paces side by side, so one masked sum serves both
+        self.state = np.concatenate(
+            [np.stack([s.positions for s in swarms]), np.stack([s.paces for s in swarms])], axis=2
+        )
+        d = swarms[0].positions.shape[1]
+        self.positions, self.paces = self.state[..., :d], self.state[..., d:]
+        self.fitness = [s.fitness.tolist() for s in swarms]
+        self.weight_factors = [s.weight_factors.tolist() for s in swarms]
         self.best_positions = np.stack([s.global_best_position for s in swarms])
-        self.best_fitness = np.array([s.global_best_fitness for s in swarms])
-        self.nl = neighbor_landscape(objective.bounds) if self.mode == IFDO else None
+        self.best_fitness = [s.global_best_fitness for s in swarms]
+        # one bounds row per run: comparing equal shapes skips numpy's broadcasting
+        bounds = objective.bounds
+        self.lower, self.upper = (np.tile(b, (len(swarms), 1)) for b in (bounds.lower, bounds.upper))
+        self.nl = neighbor_landscape(bounds) if self.mode == IFDO else None
 
     def proposal_terms(self, i):
         """What ``propose_position`` adds to position + pace for scout ``i``
-        in IFDO: per run whether it has neighbors, and alignment / cohesion
-        of its ``neighborhood``, 0.0 where the cohesion is below ``COHESION_TOL``.
+        in IFDO, one row per run: alignment / cohesion of its
+        ``neighborhood``, 0.0 where the cohesion is below ``COHESION_TOL``,
+        and -0.0, which adds nothing, for a run without neighbors.  None
+        when no run has neighbors.
 
         Each mean is the sum over the neighbors in scout order, divided by
         the count.  For d >= 2 non-neighbors are filled with -0.0, which
         leaves every sum's bits alone.  For d = 1 the summed axis is
         contiguous and numpy sums it pairwise, so a fill would regroup the
-        additions; there each run sums its own neighbor rows.
+        additions; there each run sums its own neighbor rows.  Those rows
+        would give the same bits for every d, but the fill is faster: 1.41x
+        on the sphere-ifdo benchmark, 1.15x on rastrigin-cli-export (both
+        d = 10, 4 runs, 2-core VM; ``BENCH_13.json``, ``fill_vs_compacted``).
         """
-        positions, paces = self.positions, self.paces
+        positions, state = self.positions, self.state
         runs, p, d = positions.shape
         own = positions[:, i]
         deltas = (positions - own[:, None]).reshape(runs * p, d)
         mask = (np.sqrt(np.einsum("ij,ij->i", deltas, deltas)) <= self.nl).reshape(runs, p)
         mask[:, i] = False
         count = mask.sum(axis=1)
+        counts = count.tolist()
+        if not any(counts):
+            return None
         if d > 1:
-            pace_sums = np.where(mask[..., None], paces, -0.0).sum(axis=1)
-            position_sums = np.where(mask[..., None], positions, -0.0).sum(axis=1)
+            sums = np.where(mask[..., None], state, -0.0).sum(axis=1)
         else:
-            pace_sums = np.stack([v[m].sum(axis=0) for v, m in zip(paces, mask)])
-            position_sums = np.stack([x[m].sum(axis=0) for x, m in zip(positions, mask)])
-        divisor = np.maximum(count, 1)[:, None]
-        alignment = pace_sums / divisor
-        cohesion = position_sums / divisor - own
-        extra = np.zeros_like(alignment)
-        np.divide(alignment, cohesion, out=extra, where=np.abs(cohesion) >= COHESION_TOL)
-        return count > 0, extra
+            sums = np.array([(s[m, 0].sum(), s[m, 1].sum()) for s, m in zip(state, mask)])
+        means = sums / np.maximum(count, 1)[:, None]
+        cohesion = means[:, :d] - own
+        extra = np.zeros((runs, d))
+        np.divide(means[:, d:], cohesion, out=extra, where=np.abs(cohesion) >= COHESION_TOL)
+        if 0 in counts:
+            extra[count == 0] = -0.0
+        return extra
 
     def scout(self, i):
         """Move scout ``i`` of every run: ``step``'s loop body, batched over runs."""
-        mode, rngs, best_positions = self.mode, self.rngs, self.best_positions
+        mode, rngs, bests = self.mode, self.rngs, self.best_fitness
+        best_positions = self.best_positions
         here = self.positions[:, i]
-        current = self.fitness[:, i].tolist()
-        bests = self.best_fitness.tolist()
-        wfs = self.weight_factors[:, i].tolist()
-        signed, walks = [], {}
+        current = [f[i] for f in self.fitness]
+        wfs = [w[i] for w in self.weight_factors]
+        signed, walks = [], []
         for k, rng in enumerate(rngs):
             r = rng.standard_normal(2)[0]
             fw = compute_fitness_weight(bests[k], current[k], wfs[k], mode)
             signed.append(-fw if r < 0.0 else fw)
             if _walks(fw):
-                walks[k] = compute_pace(here[k], best_positions[k], fw, r, rng)
+                walks.append((k, compute_pace(here[k], best_positions[k], fw, r, rng)))
         fresh = (here - best_positions) * np.array(signed)[:, None]
-        for k, pace in walks.items():
+        for k, pace in walks:
             fresh[k] = pace
-        terms = None if self.nl is None else self.proposal_terms(i)
-        rejected = self._try(i, range(len(rngs)), here + fresh, fresh, terms, current, wfs)
+        extra = None if self.nl is None else self.proposal_terms(i)
+        rejected = self._try(i, range(len(rngs)), here + fresh, fresh, extra, current, wfs)
         if rejected:
             # basic indexing while every run is left, which is the common case
             rows = slice(None) if len(rejected) == len(rngs) else rejected
             saved = self.paces[rows, i]
-            terms = None if terms is None else (terms[0][rows], terms[1][rows])
-            self._try(i, rejected, here[rows] + saved, saved, terms, current, wfs)
+            extra = None if extra is None else extra[rows]
+            self._try(i, rejected, here[rows] + saved, saved, extra, current, wfs)
 
-    def _try(self, i, runs, candidates, paces, terms, current, wfs):
+    def _try(self, i, runs, candidates, paces, extra, current, wfs):
         """One try of scout ``i`` in ``runs``: propose, repair, evaluate, accept.
 
-        ``candidates`` holds position + pace, to which runs with neighbors
-        add the IFDO ``terms``.  Returns the runs that rejected their candidate.
+        ``candidates`` holds position + pace, to which the IFDO ``extra``
+        is added.  Returns the runs that rejected their candidate.
         """
-        if terms is not None:
-            has, extra = terms
-            np.add(candidates, extra, out=candidates, where=has[:, None])
-        bounds, rngs = self.objective.bounds, self.rngs
-        above = candidates > bounds.upper
-        crossed = above | (candidates < bounds.lower)
-        for j in crossed.any(axis=1).nonzero()[0].tolist():
-            _repair(candidates[j], crossed[j], above[j], bounds, rngs[runs[j]])
+        if extra is not None:
+            candidates += extra
+        bounds, rngs, n = self.objective.bounds, self.rngs, len(candidates)
+        above = candidates > self.upper[:n]
+        crossed = above | (candidates < self.lower[:n])
+        for j, out in enumerate(crossed.any(axis=1).tolist()):
+            if out:
+                _repair(candidates[j], crossed[j], above[j], bounds, rngs[runs[j]])
         values = self.objective.evaluate_many(candidates, [rngs[k] for k in runs])
         rejected = []
         for j, k in enumerate(runs):
@@ -466,12 +482,12 @@ class _Lockstep:
                 continue
             self.positions[k, i] = candidates[j]
             self.paces[k, i] = paces[j]
-            self.fitness[k, i] = value
+            self.fitness[k][i] = value
             new_wf = update_weight_factor(wfs[k], self.mode, rngs[k])
             if self.wf_scope == "swarm":
-                self.weight_factors[k] = new_wf
+                self.weight_factors[k] = [new_wf] * len(self.weight_factors[k])
             else:
-                self.weight_factors[k, i] = new_wf
+                self.weight_factors[k][i] = new_wf
             if value < self.best_fitness[k]:
                 self.best_fitness[k] = value
                 self.best_positions[k] = candidates[j]

@@ -13,10 +13,22 @@ import numpy as np
 
 from .core import RunConfig, _require_choice, _require_int, run, run_many
 
+# ``run`` is only re-exported: no experiment calls it, but bench/spans.py
+# still times ``harness.run`` and needs the name
+__all__ = [
+    "SUMMARY_COLUMNS",
+    "ExperimentConfig",
+    "ExperimentResult",
+    "compare",
+    "export_results",
+    "export_search_history",
+    "format_comparison",
+    "run",
+    "run_experiment",
+    "summary_csv_row",
+]
+
 _FMT = "{:.17g}"
-# from this many runs on an experiment runs them in lockstep (core.run_many);
-# below it one core.run after another is faster
-LOCKSTEP_MIN_RUNS = 3
 SUMMARY_COLUMNS = ("objective", "mode", "runs", "population", "iterations", "mean", "std")
 
 
@@ -63,19 +75,14 @@ class ExperimentResult:
 def run_experiment(config, objective):
     """Execute ``config.runs`` independent runs and aggregate them.
 
-    From ``LOCKSTEP_MIN_RUNS`` runs on they advance together in
-    ``core.run_many``; fewer run one ``core.run`` after another.  Both
-    give every run the same bits.
+    The runs advance together in ``core.run_many``; run k has the bits
+    ``core.run`` gives it alone.
     """
     if config.objective_id != objective.id:
         raise ValueError(
             f"config is for objective {config.objective_id!r}, got objective {objective.id!r}"
         )
-    configs = [config.run_config(k) for k in range(config.runs)]
-    if config.runs >= LOCKSTEP_MIN_RUNS:
-        records = run_many(configs, objective)
-    else:
-        records = [run(c, objective) for c in configs]
+    records = run_many([config.run_config(k) for k in range(config.runs)], objective)
     return ExperimentResult(config=config, records=records)
 
 

@@ -714,29 +714,37 @@ def test_run_many_sums_one_dimensional_neighborhoods_run_by_run():
         assert _same_record(record, run(config, objective))
 
 
-def test_run_many_adds_no_neighborhood_term_without_neighbors():
-    """A lone scout at -0.0 whose fresh pace is -0.0: adding a 0.0 term
-    would propose 0.0 where ``step`` proposes -0.0."""
+def _scout_at_negative_zero(other):
+    """Scout 0 at (-0.0, 0.5), the global best, beside scout 1 at ``other``.
+
+    Seed 4 draws a negative r, so scout 0's fresh pace toward the best is -0.0."""
+    positions = np.array([[-0.0, 0.5], other])
+    fitness = np.array([sphere(x) for x in positions])
+    best = int(np.argmin(fitness))
+    return SwarmState(positions=positions, paces=np.zeros((2, 2)), fitness=fitness,
+                      global_best_position=positions[best].copy(),
+                      global_best_fitness=float(fitness[best]), weight_factors=np.full(2, 0.5),
+                      mode=IFDO, rng=np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("other_run_neighbor", [[0.9, -0.9], [0.0, 0.45]])
+def test_run_many_adds_no_neighborhood_term_without_neighbors(other_run_neighbor):
+    """Scout 0 has no neighbor, and its candidate is -0.0 + -0.0: adding a
+    0.0 term would propose 0.0 where ``step`` proposes -0.0, whether the
+    batch's other run has no neighbor either or has one."""
     seen = []
 
     def recorder(z, rng):
         seen.append(z.tobytes())
         return sphere(z)
 
-    def lone_scout():
-        at = np.array([-0.0, 0.5])
-        # seed 4 draws a negative r, so the pace toward the best is -0.0
-        return SwarmState(positions=at[None].copy(), paces=np.zeros((1, 2)),
-                          fitness=np.array([0.25]), global_best_position=at.copy(),
-                          global_best_fitness=0.25, weight_factors=np.array([0.5]), mode=IFDO,
-                          rng=np.random.default_rng(4))
-
     objective = ObjectiveSpec(id="rec", dimension=2, bounds=box(2, -1, 1), evaluator=recorder)
-    step(lone_scout(), objective)
+    step(_scout_at_negative_zero([0.9, -0.9]), objective)
     alone, seen[:] = list(seen), []
-    core._Lockstep([lone_scout(), lone_scout()], objective).scout(0)
+    swarms = [_scout_at_negative_zero([0.9, -0.9]), _scout_at_negative_zero(other_run_neighbor)]
+    core._Lockstep(swarms, objective).scout(0)
     assert np.frombuffer(alone[0])[0].tobytes() == np.float64(-0.0).tobytes()
-    assert seen == [b for b in alone for _ in range(2)]
+    assert seen[0] == alone[0]
 
 
 def _poisoned(z, rng):

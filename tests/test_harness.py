@@ -56,28 +56,18 @@ def test_determinism():
 
 def test_rejects_a_config_for_another_objective(monkeypatch):
     ran = []
-    monkeypatch.setattr(harness, "run", lambda *args: ran.append(args))
+    monkeypatch.setattr(harness, "run_many", lambda *args: ran.append(args))
     with pytest.raises(ValueError, match="'TF1'.*'SPH'"):
         run_experiment(small_config(objective_id="TF1"), sphere_objective())
     assert ran == []
 
 
-def test_below_the_lockstep_threshold_runs_go_one_after_another(monkeypatch):
-    seeds, run = [], harness.run
-    monkeypatch.setattr(harness, "run", lambda config, objective: seeds.append(config.seed)
-                        or run(config, objective))
-    monkeypatch.setattr(harness, "run_many", lambda *args: pytest.fail("ran in lockstep"))
-    runs = harness.LOCKSTEP_MIN_RUNS - 1
-    result = run_experiment(small_config(runs=runs, base_seed=7), sphere_objective())
-    assert seeds == [7 + k for k in range(runs)]
-    assert len(result.records) == runs
-
-
-@pytest.mark.parametrize("more", [0, 2])
-def test_from_the_lockstep_threshold_runs_advance_together(monkeypatch, more):
+@pytest.mark.parametrize("runs", [1, 2, 3, 5])
+def test_runs_advance_together_with_the_bits_of_each_run_alone(monkeypatch, runs):
     monkeypatch.setattr(harness, "run", lambda *args: pytest.fail("ran one after another"))
-    config = small_config(runs=harness.LOCKSTEP_MIN_RUNS + more, record_positions=True)
+    config = small_config(runs=runs, base_seed=7, record_positions=True)
     result = run_experiment(config, sphere_objective())
+    assert len(result.records) == runs
     for k, record in enumerate(result.records):
         alone = core.run(config.run_config(k), sphere_objective())
         assert record.trace.tobytes() == alone.trace.tobytes()
