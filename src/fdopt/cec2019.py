@@ -19,9 +19,9 @@ from .classical import rastrigin, griewank, weierstrass, ackley
 def _chebyshev_points(n):
     """The sample grid of dimension ``n`` with the two endpoints after it, read-only,
     and the bound T_{n-1}(1.2); both depend on ``n`` only, so they are built once."""
-    # T_{n-1}(1.2) via the Chebyshev recurrence
-    a, b = 1.0, 1.2
-    for _ in range(n - 2):
+    # T_{n-1}(1.2) via the Chebyshev recurrence from (T_{-1}, T_0) = (1.2, 1.0)
+    a, b = 1.2, 1.0
+    for _ in range(n - 1):
         a, b = b, 2.4 * b - a
     y = np.append(np.linspace(-1.0, 1.0, 32 * n + 1), (-1.2, 1.2))
     y.flags.writeable = False

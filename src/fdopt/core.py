@@ -399,8 +399,7 @@ class _Lockstep:
         """What ``propose_position`` adds to position + pace for scout ``i``
         in IFDO, one row per run: alignment / cohesion of its
         ``neighborhood``, 0.0 where the cohesion is below ``COHESION_TOL``,
-        and -0.0, which adds nothing, for a run without neighbors.  None
-        when no run has neighbors.
+        and -0.0, which adds nothing, for a run without neighbors.
 
         Each mean is the sum over the neighbors in scout order, divided by
         the count.  For d >= 2 non-neighbors are filled with -0.0, which
@@ -418,9 +417,6 @@ class _Lockstep:
         mask = (np.sqrt(np.einsum("ij,ij->i", deltas, deltas)) <= self.nl).reshape(runs, p)
         mask[:, i] = False
         count = mask.sum(axis=1)
-        counts = count.tolist()
-        if not any(counts):
-            return None
         if d > 1:
             sums = np.where(mask[..., None], state, -0.0).sum(axis=1)
         else:
@@ -429,7 +425,7 @@ class _Lockstep:
         cohesion = means[:, :d] - own
         extra = np.zeros((runs, d))
         np.divide(means[:, d:], cohesion, out=extra, where=np.abs(cohesion) >= COHESION_TOL)
-        if 0 in counts:
+        if 0 in count.tolist():
             extra[count == 0] = -0.0
         return extra
 

@@ -11,22 +11,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import RunConfig, _require_choice, _require_int, run, run_many
+from . import core
+from .core import RunConfig, _require_choice, _require_int, run_many
 
-# ``run`` is only re-exported: no experiment calls it, but bench/spans.py
-# still times ``harness.run`` and needs the name
-__all__ = [
-    "SUMMARY_COLUMNS",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "compare",
-    "export_results",
-    "export_search_history",
-    "format_comparison",
-    "run",
-    "run_experiment",
-    "summary_csv_row",
-]
+# no experiment calls ``run``; bench/spans.py times ``harness.run`` and needs the name
+run = core.run
 
 _FMT = "{:.17g}"
 SUMMARY_COLUMNS = ("objective", "mode", "runs", "population", "iterations", "mean", "std")

@@ -49,8 +49,8 @@ class ObjectiveSpec:
     def evaluate_many(self, X, rngs):
         """``evaluate`` of every row of the (n, d) batch ``X``, as a list of n floats.
 
-        ``rngs`` holds one generator (or None) per row.  An evaluator with a
-        ``batch`` kernel written over the last axis evaluates all rows in
+        ``rngs`` holds one generator (or None) per row.  An evaluator marked
+        by ``over_last_axis``, which draws nothing, evaluates all rows in
         one call; any other evaluates row by row in row order, row k
         drawing from ``rngs[k]``.  Either way each value has the bits
         ``evaluate`` gives for its row.
@@ -62,9 +62,8 @@ class ObjectiveSpec:
                 f"got shape {X.shape} and {len(rngs)} generators"
             )
         Z = X - self.shift
-        batch = getattr(self.evaluator, "batch", None)
-        if batch is not None:
-            return batch(Z).tolist()
+        if getattr(self.evaluator, "over_last_axis", False):
+            return self.evaluator(Z, None).tolist()
         return [float(self.evaluator(z, rng)) for z, rng in zip(Z, rngs)]
 
 
@@ -78,14 +77,14 @@ def over_last_axis(kernel):
 def deterministic(kernel):
     """Wrap an rng-free kernel, z -> real scalar, into the (z, rng) evaluator signature.
 
-    A kernel marked by ``over_last_axis`` is also kept as the evaluator's
-    ``batch``, which ``ObjectiveSpec.evaluate_many`` calls on a whole batch.
+    The evaluator keeps the kernel's ``over_last_axis`` mark, so
+    ``ObjectiveSpec.evaluate_many`` calls it once on a whole batch.
     """
 
     def evaluator(z, rng):
         return kernel(z)
 
-    evaluator.batch = kernel if getattr(kernel, "over_last_axis", False) else None
+    evaluator.over_last_axis = getattr(kernel, "over_last_axis", False)
     return evaluator
 
 

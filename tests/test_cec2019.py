@@ -47,11 +47,8 @@ def test_purity():
 
 def oracle_chebyshev(z):
     n = len(z)
-    # T_{n-1}(1.2) by explicit recurrence
-    t0, t1 = 1.0, 1.2
-    for _ in range(n - 2):
-        t0, t1 = t1, 2.0 * 1.2 * t1 - t0
-    upper = t1
+    # T_{n-1}(1.2) in closed form, cosh((n - 1) acosh(1.2)) for an argument above 1
+    upper = math.cosh((n - 1) * math.acosh(1.2))
     m = 32 * n
     total = 0.0
     for k in range(m + 1):
@@ -225,3 +222,14 @@ def test_chebyshev_builds_its_grid_once_per_dimension():
     assert not y.flags.writeable
     assert y.size == 32 * 9 + 1 + 2 and y[-2:].tolist() == [-1.2, 1.2]
     assert upper == pytest.approx(math.cosh(8 * math.acosh(1.2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_chebyshev_bound_is_t_n_minus_1_at_1_2(n):
+    expected = math.cosh((n - 1) * math.acosh(1.2))
+    assert cec2019._chebyshev_points(n)[1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_chebyshev_in_one_dimension_leaves_only_the_grid_term():
+    # p = 1.1 at all 33 grid points and at both endpoints, which lie above T_0(1.2) = 1
+    assert cec2019.chebyshev(np.array([1.1])) == pytest.approx(33 * (1.1 - 1.0) ** 2, rel=1e-12)

@@ -714,34 +714,43 @@ def test_run_many_sums_one_dimensional_neighborhoods_run_by_run():
         assert _same_record(record, run(config, objective))
 
 
+def _lifted_sphere(z):
+    """1 + the sphere, so a scout at the origin has a fitness weight other than 0."""
+    return 1.0 + sphere(z)
+
+
 def _scout_at_negative_zero(other):
-    """Scout 0 at (-0.0, 0.5), the global best, beside scout 1 at ``other``.
+    """Scout 0 at (-0.0, 0.5), or at (-0.0) for d = 1, the global best, beside
+    scout 1 at ``other``.
 
     Seed 4 draws a negative r, so scout 0's fresh pace toward the best is -0.0."""
-    positions = np.array([[-0.0, 0.5], other])
-    fitness = np.array([sphere(x) for x in positions])
+    positions = np.array([[-0.0, 0.5][: len(other)], other])
+    fitness = np.array([_lifted_sphere(x) for x in positions])
     best = int(np.argmin(fitness))
-    return SwarmState(positions=positions, paces=np.zeros((2, 2)), fitness=fitness,
+    return SwarmState(positions=positions, paces=np.zeros_like(positions), fitness=fitness,
                       global_best_position=positions[best].copy(),
                       global_best_fitness=float(fitness[best]), weight_factors=np.full(2, 0.5),
                       mode=IFDO, rng=np.random.default_rng(4))
 
 
-@pytest.mark.parametrize("other_run_neighbor", [[0.9, -0.9], [0.0, 0.45]])
+@pytest.mark.parametrize("other_run_neighbor", [[0.9, -0.9], [0.0, 0.45], [0.9]])
 def test_run_many_adds_no_neighborhood_term_without_neighbors(other_run_neighbor):
     """Scout 0 has no neighbor, and its candidate is -0.0 + -0.0: adding a
     0.0 term would propose 0.0 where ``step`` proposes -0.0, whether the
-    batch's other run has no neighbor either or has one."""
+    batch's other run has no neighbor either or has one.  With d = 1 no run
+    of the batch has a neighbor, and each run's empty neighbor sum is 0.0."""
     seen = []
 
     def recorder(z, rng):
         seen.append(z.tobytes())
-        return sphere(z)
+        return _lifted_sphere(z)
 
-    objective = ObjectiveSpec(id="rec", dimension=2, bounds=box(2, -1, 1), evaluator=recorder)
-    step(_scout_at_negative_zero([0.9, -0.9]), objective)
+    d = len(other_run_neighbor)
+    lone = [0.9, -0.9][:d]
+    objective = ObjectiveSpec(id="rec", dimension=d, bounds=box(d, -1, 1), evaluator=recorder)
+    step(_scout_at_negative_zero(lone), objective)
     alone, seen[:] = list(seen), []
-    swarms = [_scout_at_negative_zero([0.9, -0.9]), _scout_at_negative_zero(other_run_neighbor)]
+    swarms = [_scout_at_negative_zero(lone), _scout_at_negative_zero(other_run_neighbor)]
     core._Lockstep(swarms, objective).scout(0)
     assert np.frombuffer(alone[0])[0].tobytes() == np.float64(-0.0).tobytes()
     assert seen[0] == alone[0]

@@ -2,9 +2,11 @@
 every module-level private name it defines is referenced in the package,
 every defaulted parameter or dataclass field it defines is passed by some
 call in the repository, files are opened for writing at known sites only,
-no module but the CLI prints, and one helper checks every choice."""
+no module but the CLI prints, one helper checks every choice, and every
+attribute the benchmark's span recorder wraps exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -384,3 +386,14 @@ def test_detects_a_choice_check():
     expected = [("a.py", "__post_init__", 16), ("a.py", "_require_choice", 2),
                 ("b.py", "<module>", 1), ("core.py", "check", 5)]
     assert _choice_checks(sources) == expected
+
+
+def test_every_name_the_benchmark_wraps_exists():
+    """bench/spans.py swaps these attributes in and out; removing one breaks
+    only the benchmark's recorder, which no other test of this suite runs."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    table = spans.layer_table()
+    assert table and [(o.__name__, a) for o, a, *_ in table if a not in vars(o)] == []

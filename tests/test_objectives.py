@@ -1,13 +1,14 @@
 """Tests for the classical benchmark suite, with independent scalar oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fdopt import classical
 from fdopt.applications import is_feasible
-from fdopt.objective import ObjectiveSpec, box, deterministic
+from fdopt.objective import ObjectiveSpec, box, deterministic, over_last_axis
 from fdopt.registry import all_objectives, get_objective
 from fdopt.classical import (
     COMPOSITE_SCALE,
@@ -338,8 +339,22 @@ def test_tf7_draws_each_row_noise_from_its_own_generator():
 
 @pytest.mark.parametrize("fid, kernel", [("TF1", classical.sphere), ("TF9", classical.rastrigin)])
 def test_sphere_and_rastrigin_evaluate_a_batch_in_one_call(fid, kernel):
-    assert SPECS[fid].evaluator.batch is kernel
-    assert SPECS["TF2"].evaluator.batch is None
+    """A spy shows the marked kernel called once per ``evaluate_many`` batch and
+    the same kernel, unmarked, once per row; both give ``evaluate``'s bits."""
+    assert SPECS[fid].evaluator.over_last_axis and not SPECS["TF2"].evaluator.over_last_axis
+    spec = SPECS[fid]
+    X = np.random.default_rng(13).uniform(spec.bounds.lower, spec.bounds.upper, size=(4, 10))
+    expected = [spec.evaluate(x) for x in X]
+    for marked, calls in ((True, 1), (False, len(X))):
+        shapes = []
+
+        def spy(z):
+            shapes.append(z.shape)
+            return kernel(z)
+
+        spied = replace(spec, evaluator=deterministic(over_last_axis(spy) if marked else spy))
+        assert spied.evaluate_many(X, [None] * len(X)) == expected
+        assert len(shapes) == calls
 
 
 @pytest.mark.parametrize(
