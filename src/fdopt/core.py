@@ -5,8 +5,9 @@ steered by a fitness weight (ratio of the global best fitness to the
 scout's own fitness) and, in IFDO mode, by alignment/cohesion terms
 computed over the scout's neighborhood.  All randomness flows through a
 single seeded ``numpy.random.Generator`` so a run is fully reproducible.
-``run`` advances one swarm; ``run_many`` advances several runs that differ
-only in their seed together, each with the bits ``run`` gives it.
+``run`` advances one swarm by ``step``; ``run_many`` advances one swarm per
+seed together, in ``_Lockstep``, each with the bits ``run`` gives it.  Both
+share one run loop, ``_drive``, and one accept rule, ``_accept``.
 """
 
 import time
@@ -105,9 +106,11 @@ class RunConfig:
 
 @dataclass
 class SwarmState:
-    """Full optimizer state for one run.
+    """Full optimizer state for one run, indexed by scout.
 
-    Positions, paces and fitness are stored as arrays indexed by scout.
+    ``_accept`` writes ``global_best_position`` in place, so it must not
+    share memory with ``positions``.  In ``_Lockstep`` the arrays are row
+    views of its blocks, and fitness and weight factors lists of floats.
     """
 
     positions: np.ndarray  # (p, d)
@@ -129,9 +132,9 @@ class SwarmState:
 class RunRecord:
     """Trace of a single run.
 
-    ``wall_time_s`` is the run's wall time; a run of a lockstep batch
-    (``run_many``) gets its share, the batch's wall time divided by the
-    number of runs.
+    ``wall_time_s`` is the run's share of the wall time of the run loop
+    that made it: all of it for ``run``, the batch's wall time divided by
+    the number of runs for ``run_many``.
     """
 
     trace: np.ndarray  # per-iteration global best, shape (iterations,)
@@ -302,8 +305,8 @@ def step(swarm, objective):
     """Advance the swarm by one iteration (in place) and return it.
 
     Each scout proposes a move; if it does not improve, the scout retries
-    with its previously saved pace, and otherwise stays put.  The global
-    best is refreshed after every accepted move.
+    with its previously saved pace, and otherwise stays put.  An improving
+    candidate is taken by ``_accept``.
     """
     bounds = objective.bounds
     rng = swarm.rng
@@ -325,75 +328,66 @@ def step(swarm, objective):
             )
             new_fitness = _safe_fitness(objective, candidate, rng)
             if new_fitness < current_fitness:
-                swarm.positions[i] = candidate
-                swarm.paces[i] = pace
-                swarm.fitness[i] = new_fitness
-                new_wf = update_weight_factor(wf, swarm.mode, rng)
-                if swarm.wf_scope == "swarm":
-                    swarm.weight_factors[:] = new_wf
-                else:
-                    swarm.weight_factors[i] = new_wf
-                if new_fitness < swarm.global_best_fitness:
-                    swarm.global_best_fitness = new_fitness
-                    swarm.global_best_position = candidate
+                _accept(swarm, i, candidate, pace, new_fitness, wf)
                 break
     return swarm
 
 
+def _accept(swarm, i, candidate, pace, value, wf):
+    """The accept rule of ``step`` and ``_Lockstep._try``: scout ``i`` takes the
+    improving ``candidate``, its ``pace`` and fitness ``value``, IFDO shrinks
+    its weight factor ``wf`` (every scout's in swarm scope), and the global
+    best is refreshed in place.
+    """
+    swarm.positions[i] = candidate
+    swarm.paces[i] = pace
+    swarm.fitness[i] = value
+    new_wf = update_weight_factor(wf, swarm.mode, swarm.rng)
+    if swarm.wf_scope == "swarm":
+        # a list assignment, since the lockstep keeps the weight factors as a list
+        swarm.weight_factors[:] = [new_wf] * len(swarm.weight_factors)
+    else:
+        swarm.weight_factors[i] = new_wf
+    if value < swarm.global_best_fitness:
+        swarm.global_best_fitness = value
+        swarm.global_best_position[:] = candidate
+
+
 def run(config, objective):
     """Initialize a swarm and advance it for ``config.iterations`` steps."""
-    start = time.perf_counter()
-    swarm = init_population(config, objective)
-    trace = np.empty(config.iterations)
-    history = (
-        np.empty((config.iterations, config.population, objective.bounds.dimension))
-        if config.record_positions
-        else None
-    )
-    for t in range(config.iterations):
-        step(swarm, objective)
-        trace[t] = swarm.global_best_fitness
-        if history is not None:
-            history[t] = swarm.positions
-    return RunRecord(
-        trace=trace,
-        best_position=swarm.global_best_position.copy(),
-        best_fitness=float(swarm.global_best_fitness),
-        wall_time_s=time.perf_counter() - start,
-        positions=history,
-    )
+    return _drive(config, [config.seed], objective, lockstep=False)[0]
 
 
 class _Lockstep:
-    """R runs of one configuration, differing only in their seed, as (R, p, d) state.
+    """R runs of one configuration, differing only in their seed, advanced together.
 
-    Scout i of every run moves in one ``scout`` call, and the scouts of a
-    run move in order, as in ``step``.  Each run keeps its own generator
-    and draws in ``step``'s order: ``r``, the random walk's heavy-tailed
-    draws, then per try the bound repair, the noise and, on an accept, the
-    weight-factor draw.  Only the arithmetic across runs is batched; the
-    per-scout scalars (fitness, weight factors, global bests) are kept as
-    the Python floats ``step`` computes with.
+    The runs are their own ``SwarmState``s, whose positions, paces and
+    global best positions become row views of (R, p, 2d) and (R, d)
+    blocks, and whose fitness and weight factors become lists of the
+    Python floats ``step`` computes with.  Scout i of every run moves in
+    one ``scout`` call, and the scouts of a run move in order, as in
+    ``step``.  Each run draws from its own generator in ``step``'s order:
+    ``r``, the random walk's heavy-tailed draws, then per try the bound
+    repair, the noise and, on an accept, the weight-factor draw.  Only the
+    arithmetic across runs is batched; an accept is ``_accept``.
     """
 
     def __init__(self, swarms, objective):
-        self.objective = objective
-        self.mode, self.wf_scope = swarms[0].mode, swarms[0].wf_scope
-        self.rngs = [s.rng for s in swarms]
+        self.objective, self.swarms = objective, swarms
         # positions and paces side by side, so one masked sum serves both
         self.state = np.concatenate(
             [np.stack([s.positions for s in swarms]), np.stack([s.paces for s in swarms])], axis=2
         )
-        d = swarms[0].positions.shape[1]
-        self.positions, self.paces = self.state[..., :d], self.state[..., d:]
-        self.fitness = [s.fitness.tolist() for s in swarms]
-        self.weight_factors = [s.weight_factors.tolist() for s in swarms]
+        self.positions, self.paces = np.split(self.state, 2, axis=2)
         self.best_positions = np.stack([s.global_best_position for s in swarms])
-        self.best_fitness = [s.global_best_fitness for s in swarms]
+        for s, x, v, best in zip(swarms, self.positions, self.paces, self.best_positions):
+            s.positions, s.paces, s.global_best_position = x, v, best
+            # a list read takes a quarter of the time of float(array[i])
+            s.fitness, s.weight_factors = s.fitness.tolist(), s.weight_factors.tolist()
         # one bounds row per run: comparing equal shapes skips numpy's broadcasting
         bounds = objective.bounds
         self.lower, self.upper = (np.tile(b, (len(swarms), 1)) for b in (bounds.lower, bounds.upper))
-        self.nl = neighbor_landscape(bounds) if self.mode == IFDO else None
+        self.nl = neighbor_landscape(bounds) if swarms[0].mode == IFDO else None
 
     def proposal_terms(self, i):
         """What ``propose_position`` adds to position + pace for scout ``i``
@@ -431,31 +425,29 @@ class _Lockstep:
 
     def scout(self, i):
         """Move scout ``i`` of every run: ``step``'s loop body, batched over runs."""
-        mode, rngs, bests = self.mode, self.rngs, self.best_fitness
-        best_positions = self.best_positions
+        swarms, best_positions = self.swarms, self.best_positions
         here = self.positions[:, i]
-        current = [f[i] for f in self.fitness]
-        wfs = [w[i] for w in self.weight_factors]
         signed, walks = [], []
-        for k, rng in enumerate(rngs):
-            r = rng.standard_normal(2)[0]
-            fw = compute_fitness_weight(bests[k], current[k], wfs[k], mode)
+        for k, s in enumerate(swarms):
+            r = s.rng.standard_normal(2)[0]
+            fw = compute_fitness_weight(s.global_best_fitness, s.fitness[i],
+                                        s.weight_factors[i], s.mode)
             signed.append(-fw if r < 0.0 else fw)
             if _walks(fw):
-                walks.append((k, compute_pace(here[k], best_positions[k], fw, r, rng)))
+                walks.append((k, compute_pace(here[k], best_positions[k], fw, r, s.rng)))
         fresh = (here - best_positions) * np.array(signed)[:, None]
         for k, pace in walks:
             fresh[k] = pace
         extra = None if self.nl is None else self.proposal_terms(i)
-        rejected = self._try(i, range(len(rngs)), here + fresh, fresh, extra, current, wfs)
+        rejected = self._try(i, range(len(swarms)), here + fresh, fresh, extra)
         if rejected:
             # basic indexing while every run is left, which is the common case
-            rows = slice(None) if len(rejected) == len(rngs) else rejected
+            rows = slice(None) if len(rejected) == len(swarms) else rejected
             saved = self.paces[rows, i]
             extra = None if extra is None else extra[rows]
-            self._try(i, rejected, here[rows] + saved, saved, extra, current, wfs)
+            self._try(i, rejected, here[rows] + saved, saved, extra)
 
-    def _try(self, i, runs, candidates, paces, extra, current, wfs):
+    def _try(self, i, runs, candidates, paces, extra):
         """One try of scout ``i`` in ``runs``: propose, repair, evaluate, accept.
 
         ``candidates`` holds position + pace, to which the IFDO ``extra``
@@ -463,67 +455,69 @@ class _Lockstep:
         """
         if extra is not None:
             candidates += extra
-        bounds, rngs, n = self.objective.bounds, self.rngs, len(candidates)
+        bounds, swarms, n = self.objective.bounds, self.swarms, len(candidates)
         above = candidates > self.upper[:n]
         crossed = above | (candidates < self.lower[:n])
         for j, out in enumerate(crossed.any(axis=1).tolist()):
             if out:
-                _repair(candidates[j], crossed[j], above[j], bounds, rngs[runs[j]])
-        values = self.objective.evaluate_many(candidates, [rngs[k] for k in runs])
+                _repair(candidates[j], crossed[j], above[j], bounds, swarms[runs[j]].rng)
+        values = self.objective.evaluate_many(candidates, [swarms[k].rng for k in runs])
         rejected = []
         for j, k in enumerate(runs):
+            s = swarms[k]
             value = values[j] if isfinite(values[j]) else np.inf
-            if not value < current[k]:
-                rejected.append(k)
-                continue
-            self.positions[k, i] = candidates[j]
-            self.paces[k, i] = paces[j]
-            self.fitness[k][i] = value
-            new_wf = update_weight_factor(wfs[k], self.mode, rngs[k])
-            if self.wf_scope == "swarm":
-                self.weight_factors[k] = [new_wf] * len(self.weight_factors[k])
+            if value < s.fitness[i]:
+                _accept(s, i, candidates[j], paces[j], value, s.weight_factors[i])
             else:
-                self.weight_factors[k][i] = new_wf
-            if value < self.best_fitness[k]:
-                self.best_fitness[k] = value
-                self.best_positions[k] = candidates[j]
+                rejected.append(k)
         return rejected
 
 
-def run_many(configs, objective):
-    """Run ``configs``, which differ only in their seed, in lockstep; one RunRecord each.
+def run_many(config, seeds, objective):
+    """Run ``config`` once per seed in ``seeds``, in lockstep; one RunRecord each.
 
-    Record k equals ``run(configs[k], objective)`` bit for bit.  Each
-    ``wall_time_s`` is the run's share, the batch's wall time divided by
-    the number of runs.  With ``record_positions`` the records' positions
-    are views into one (R, iterations, p, d) block.
+    Record k equals ``run(replace(config, seed=seeds[k]), objective)`` bit
+    for bit; ``config.seed`` itself is not used.  Each ``wall_time_s`` is
+    the run's share, the batch's wall time divided by the number of runs.
+    With ``record_positions`` the records' positions are views into one
+    (R, iterations, p, d) block.
     """
-    if not configs:
-        raise ValueError("run_many needs at least one config")
-    first = configs[0]
-    if any(replace(c, seed=first.seed) != first for c in configs):
-        raise ValueError("run_many needs configs that differ only in their seed")
+    if len(seeds) == 0:
+        raise ValueError("run_many needs at least one seed")
+    return _drive(config, seeds, objective, lockstep=True)
+
+
+def _drive(config, seeds, objective, lockstep):
+    """The run loop of ``run`` and ``run_many``: the swarm of each seed,
+    advanced alone by ``step`` or with the others by ``_Lockstep``, traced
+    (its positions kept in one (R, iterations, p, d) block with
+    ``record_positions``) and returned as a RunRecord with its time share."""
     start = time.perf_counter()
-    batch = _Lockstep([init_population(c, objective) for c in configs], objective)
-    runs, p, d = batch.positions.shape
-    trace = np.empty((runs, first.iterations))
-    history = np.empty((runs, first.iterations, p, d)) if first.record_positions else None
-    for t in range(first.iterations):
-        for i in range(p):
-            batch.scout(i)
-        trace[:, t] = batch.best_fitness
+    swarms = [init_population(replace(config, seed=s), objective) for s in seeds]
+    batch = _Lockstep(swarms, objective) if lockstep else None
+    runs, iterations = len(swarms), config.iterations
+    trace = np.empty((runs, iterations))
+    shape = (runs, iterations, config.population, objective.bounds.dimension)
+    history = np.empty(shape) if config.record_positions else None
+    for t in range(iterations):
+        if batch is None:
+            step(swarms[0], objective)
+        else:
+            for i in range(config.population):
+                batch.scout(i)
+        trace[:, t] = [s.global_best_fitness for s in swarms]
         if history is not None:
-            history[:, t] = batch.positions
+            history[:, t] = [s.positions for s in swarms]
     share = (time.perf_counter() - start) / runs
     return [
         RunRecord(
             trace=trace[k],
-            best_position=batch.best_positions[k].copy(),
-            best_fitness=float(batch.best_fitness[k]),
+            best_position=s.global_best_position.copy(),
+            best_fitness=float(s.global_best_fitness),
             wall_time_s=share,
             positions=None if history is None else history[k],
         )
-        for k in range(runs)
+        for k, s in enumerate(swarms)
     ]
 
 

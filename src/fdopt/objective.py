@@ -33,8 +33,8 @@ class ObjectiveSpec:
         if self.shift is None:
             self.shift = np.zeros(self.dimension)
         self.shift = np.asarray(self.shift, dtype=float)
-        if self.shift.size != self.dimension:
-            raise ValueError(f"{self.id}: shift length != dimension")
+        if self.shift.shape != (self.dimension,):
+            raise ValueError(f"{self.id}: shift length != dimension or shift is not a vector")
         if self.bounds.dimension != self.dimension:
             raise ValueError(f"{self.id}: bounds dimension != dimension")
 

@@ -2,8 +2,9 @@
 every module-level private name it defines is referenced in the package,
 every defaulted parameter or dataclass field it defines is passed by some
 call in the repository, files are opened for writing at known sites only,
-no module but the CLI prints, one helper checks every choice, and every
-attribute the benchmark's span recorder wraps exists."""
+no module but the CLI prints, one helper checks every choice, one accept
+rule refreshes the global best, and every attribute the benchmark's span
+recorder wraps exists."""
 
 import ast
 import importlib.util
@@ -386,6 +387,54 @@ def test_detects_a_choice_check():
     expected = [("a.py", "__post_init__", 16), ("a.py", "_require_choice", 2),
                 ("b.py", "<module>", 1), ("core.py", "check", 5)]
     assert _choice_checks(sources) == expected
+
+
+def _best_assignments(sources):
+    """(module, function, line) of every assignment to an attribute named
+    ``global_best_fitness`` outside ``core._accept``.
+
+    ``sources`` maps module names to source text.
+    """
+    return sorted(
+        (module, function, node.lineno)
+        for module, source in sources.items()
+        for function, node in _nodes(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr == "global_best_fitness"
+        and (module, function) != ("core.py", "_accept")
+    )
+
+
+def test_one_accept_rule():
+    """core._accept, the accept rule of core.step and of the lockstep engine,
+    is the one site that refreshes a run's global best."""
+    assert _best_assignments({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_detects_a_best_assignment():
+    sources = {
+        "core.py": (
+            "def _accept(swarm, value):\n"
+            "    swarm.global_best_fitness = value\n"
+            "def step(swarm, value):\n"
+            "    if value < swarm.global_best_fitness:\n"
+            "        swarm.global_best_fitness = value\n"
+        ),
+        "a.py": (
+            "def _accept(s, v):\n"
+            "    s.global_best_fitness, s.global_best_position = v\n"
+            "class Batch:\n"
+            "    def _try(self, k, v):\n"
+            "        self.swarms[k].global_best_fitness += v\n"
+            "        best = self.global_best_fitness\n"
+            "        self.global_best_fitness: float = best\n"
+            "        return SwarmState(global_best_fitness=v)\n"
+        ),
+        "b.py": "state.global_best_fitness = 0.0\n",
+    }
+    expected = [("a.py", "_accept", 2), ("a.py", "_try", 5), ("a.py", "_try", 7),
+                ("b.py", "<module>", 1), ("core.py", "step", 5)]
+    assert _best_assignments(sources) == expected
 
 
 def test_every_name_the_benchmark_wraps_exists():

@@ -151,9 +151,12 @@ def test_bounds_of_another_dimension_rejected():
         ObjectiveSpec("x", 3, box(2, -1, 1), deterministic(classical.sphere))
 
 
-def test_shift_of_another_length_rejected():
+@pytest.mark.parametrize("shape", [(2,), (1, 3), (3, 1)], ids=["2", "1x3", "3x1"])
+def test_shift_of_another_length_rejected(shape):
+    """A (1, 3) or (3, 1) shift has three entries but would broadcast x - shift
+    into a matrix and evaluate another function."""
     with pytest.raises(ValueError, match="shift length"):
-        ObjectiveSpec("x", 3, box(3, -1, 1), deterministic(classical.sphere), shift=np.zeros(2))
+        ObjectiveSpec("x", 3, box(3, -1, 1), deterministic(classical.sphere), shift=np.zeros(shape))
 
 
 def test_weierstrass_zero_at_origin():
