@@ -137,10 +137,18 @@ def _require_writable(path):
 
 
 def cmd_run(args):
+    flags = {"--out": args.out, "--trace": args.trace, "--history": args.history}
+    exports = {flag: path for flag, path in flags.items() if path}
+    # a later export would overwrite an earlier one
+    first = {}
+    for flag, path in exports.items():
+        other = first.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            print(f"error: {other} and {flag} name the same file {path}", file=sys.stderr)
+            return USAGE_ERROR
     # checked before the experiment, so a bad path does not throw its runs away
-    for path in (args.out, args.trace, args.history):
-        if path:
-            _require_writable(path)
+    for path in exports.values():
+        _require_writable(path)
     result = _experiment(args, args.function, args.algo, record_positions=bool(args.history))
     print(
         f"{args.function.id} {args.algo} runs={args.runs} "

@@ -17,7 +17,7 @@ from .core import RunConfig, _require_choice, _require_int, run_many
 # no experiment calls ``run``; bench/spans.py times ``harness.run`` and needs the name
 run = core.run
 
-_FMT = "{:.17g}"
+_FMT = "%.17g"
 SUMMARY_COLUMNS = ("objective", "mode", "runs", "population", "iterations", "mean", "std")
 
 
@@ -87,16 +87,28 @@ def _summary_row(result):
 
 def summary_csv_row(result):
     """One summary CSV row in ``SUMMARY_COLUMNS`` order, floats at 17 significant digits."""
-    return [_FMT.format(v) if isinstance(v, float) else v for v in _summary_row(result).values()]
+    return [_FMT % v if isinstance(v, float) else v for v in _summary_row(result).values()]
 
 
-def _write_csv(path, header, rows):
-    """The one CSV writer of every export: ``header``, then ``rows`` as they are produced."""
+def _line_template(ints, floats):
+    """One numeric CSV row as a ``%`` template: ``ints`` integers, then ``floats`` floats.
+
+    ``csv.writer`` quotes neither an integer nor a 17-digit float and ends a
+    row in ``\r\n``, so a filled template has the bytes it would write.
+    """
+    return ",".join(["%d"] * ints + [_FMT] * floats) + "\r\n"
+
+
+def _write_csv(path, header, rows=(), lines=()):
+    """The one CSV writer of every export: ``header`` and ``rows`` through
+    ``csv.writer``, which quotes free text, then the preformatted ``lines``
+    as they are produced."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
+            fh.writelines(lines)
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
 
@@ -110,21 +122,20 @@ def export_results(result, format, path, kind="summary"):
     _require_choice("format", format, ("csv", "json"))
     _require_choice("kind", kind, ("summary", "trace"))
     if kind == "summary":
-        header, rows = SUMMARY_COLUMNS, [summary_csv_row(result)]
+        header, rows, lines = SUMMARY_COLUMNS, [summary_csv_row(result)], ()
         payload, indent = _summary_row(result), 2
     else:
-        header = ("run", "iteration", "best_fitness")
-        rows = (
-            (k, t, _FMT.format(value))
+        header, rows, line = ("run", "iteration", "best_fitness"), (), _line_template(2, 1)
+        lines = (
+            "".join(line % (k, t, value) for t, value in enumerate(record.trace.tolist()))
             for k, record in enumerate(result.records)
-            for t, value in enumerate(record.trace.tolist())
         )
         runs = [
             {"run": k, "best_fitness_trace": r.trace.tolist()} for k, r in enumerate(result.records)
         ]
         payload, indent = {"runs": runs}, None
     if format == "csv":
-        _write_csv(path, header, rows)
+        _write_csv(path, header, rows, lines)
         return
     # encoded before the file is opened, so an encoding error leaves no partial file
     text = json.dumps(payload, indent=indent) + "\n"
@@ -141,14 +152,14 @@ def export_search_history(result, path):
         if record.positions is None:
             raise ValueError("positions were not recorded; enable record_positions")
     dim = result.records[0].positions.shape[2]
-    # one (agents, dim) frame at a time, so no whole run is held as Python floats
-    rows = (
-        (k, t, a, *map(_FMT.format, agent))
+    line = _line_template(3, dim)
+    # one string per (agents, dim) frame, so no whole run is held as Python floats
+    lines = (
+        "".join(line % (k, t, a, *agent) for a, agent in enumerate(frame.tolist()))
         for k, record in enumerate(result.records)
         for t, frame in enumerate(record.positions)
-        for a, agent in enumerate(frame.tolist())
     )
-    _write_csv(path, ["run", "iteration", "agent"] + [f"dim{j}" for j in range(dim)], rows)
+    _write_csv(path, ["run", "iteration", "agent"] + [f"dim{j}" for j in range(dim)], lines=lines)
 
 
 def compare(results):

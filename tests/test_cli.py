@@ -108,6 +108,28 @@ def test_run_checks_its_export_paths_before_any_run(flag, target, tmp_path, monk
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
+@pytest.mark.parametrize(
+    "first, second, spelling",
+    [("--out", "--trace", "same.csv"), ("--trace", "--history", "./same.csv"),
+     ("--out", "--history", "sub/../same.csv")],
+)
+def test_run_refuses_two_exports_to_one_file(first, second, spelling, tmp_path, monkeypatch,
+                                             capsys):
+    from fdopt import harness
+
+    monkeypatch.setattr(
+        harness, "run_experiment", lambda *args: pytest.fail("an experiment ran")
+    )
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--function", "TF1", "--algo", "ifdo", *FAST,
+            first, str(tmp_path / "same.csv"), second, spelling]
+    assert main(argv) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {first} and {second} name the same file {spelling}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_list_catalog(capsys):
     code = main(["list"])
     out = capsys.readouterr().out.splitlines()

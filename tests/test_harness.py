@@ -1,6 +1,7 @@
 """Tests for the experiment harness and result export."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -215,6 +216,90 @@ def test_search_history_row_count(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["run", "iteration", "agent", "dim0", "dim1"]
     assert len(rows) - 1 == 10 * 150
+
+
+# floats whose text is easy to get wrong: signed zero, the least subnormal, exponent forms
+# on both sides, a value 17 digits do not end, NaN and the infinities
+AWKWARD = [-0.0, 5e-324, 1e22, 1e-7, 0.1, np.nan, np.inf, -np.inf]
+
+
+def _csv_writer_bytes(header, rows):
+    """What ``csv.writer`` writes for ``rows``, the form the exports had before
+    their numeric rows were preformatted."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+@pytest.mark.parametrize("dim", [1, 10])
+def test_trace_and_history_csvs_have_the_bytes_of_csv_writer(tmp_path, dim):
+    """Hand-built records with awkward floats and multi-digit run, iteration and
+    agent indices: the bytes equal ``csv.writer`` over ``"{:.17g}".format``, and
+    every float reads back bit for bit."""
+    runs, iterations, agents = 11, 12, 11
+    rng = np.random.default_rng(dim)
+
+    def draw(*shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        values.flat[:len(AWKWARD)] = AWKWARD
+        return values
+
+    traces, positions = draw(runs, iterations), draw(runs, iterations, agents, dim)
+    records = [
+        core.RunRecord(
+            trace=trace, best_position=block[-1, 0], best_fitness=0.0, wall_time_s=0.0,
+            positions=block,
+        )
+        for trace, block in zip(traces, positions)
+    ]
+    config = small_config(runs=runs, population=agents, iterations=iterations)
+    result = harness.ExperimentResult(config=config, records=records)
+    trace_path, history_path = tmp_path / "trace.csv", tmp_path / "history.csv"
+    export_results(result, "csv", trace_path, kind="trace")
+    export_search_history(result, history_path)
+
+    old = "{:.17g}".format
+    trace_rows = [
+        (k, t, old(v)) for k, trace in enumerate(traces.tolist()) for t, v in enumerate(trace)
+    ]
+    trace_header = ("run", "iteration", "best_fitness")
+    assert trace_path.read_bytes() == _csv_writer_bytes(trace_header, trace_rows)
+    history_rows = [
+        (k, t, a, *map(old, agent))
+        for k, run in enumerate(positions.tolist())
+        for t, frame in enumerate(run)
+        for a, agent in enumerate(frame)
+    ]
+    header = ["run", "iteration", "agent"] + [f"dim{j}" for j in range(dim)]
+    assert history_path.read_bytes() == _csv_writer_bytes(header, history_rows)
+
+    with open(trace_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(int(k), int(t)) for k, t, _ in rows] == [row[:2] for row in trace_rows]
+    assert np.array([float(v) for *_, v in rows]).tobytes() == traces.tobytes()
+    with open(history_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [tuple(map(int, row[:3])) for row in rows] == [row[:3] for row in history_rows]
+    assert np.array([[float(v) for v in row[3:]] for row in rows]).tobytes() == positions.tobytes()
+
+
+def test_summary_csv_quotes_the_objective_id(tmp_path):
+    """The id is the one free-text field of an export; ``csv.writer`` quotes it."""
+    name = 'S,"P"'
+    objective = ObjectiveSpec(
+        id=name, dimension=2, bounds=box(2, -1, 1), evaluator=deterministic(sphere)
+    )
+    result = run_experiment(
+        small_config(objective_id=name, runs=1, population=4, iterations=3), objective
+    )
+    path = tmp_path / "summary.csv"
+    export_results(result, "csv", path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["objective"] for row in rows] == [name]
+    assert float(rows[0]["mean"]) == result.mean
 
 
 def test_search_history_requires_positions(tmp_path):
