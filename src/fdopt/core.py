@@ -370,6 +370,10 @@ class _Lockstep:
     ``r``, the random walk's heavy-tailed draws, then per try the bound
     repair, the noise and, on an accept, the weight-factor draw.  Only the
     arithmetic across runs is batched; an accept is ``_accept``.
+
+    ``accepts`` counts the accepts of all runs.  A scout's IFDO
+    ``proposal_terms`` are kept, read-only, with the count they were
+    computed at, and reused until any run of the batch accepts a move.
     """
 
     def __init__(self, swarms, objective):
@@ -388,6 +392,8 @@ class _Lockstep:
         bounds = objective.bounds
         self.lower, self.upper = (np.tile(b, (len(swarms), 1)) for b in (bounds.lower, bounds.upper))
         self.nl = neighbor_landscape(bounds) if swarms[0].mode == IFDO else None
+        # per scout: the accept count its proposal terms were computed at, and the terms
+        self.accepts, self.terms = 0, [(-1, None)] * swarms[0].population
 
     def proposal_terms(self, i):
         """What ``propose_position`` adds to position + pace for scout ``i``
@@ -403,6 +409,11 @@ class _Lockstep:
         would give the same bits for every d, but the fill is faster: 1.41x
         on the sphere-ifdo benchmark, 1.15x on rastrigin-cli-export (both
         d = 10, 4 runs, 2-core VM; ``BENCH_13.json``, ``fill_vs_compacted``).
+
+        The terms read only ``nl`` and the positions and paces, which only
+        ``_accept`` writes, so ``scout`` reuses them until any run of the
+        batch accepts: terms computed again from the same inputs would have
+        the same bits.
         """
         positions, state = self.positions, self.state
         runs, p, d = positions.shape
@@ -438,7 +449,11 @@ class _Lockstep:
         fresh = (here - best_positions) * np.array(signed)[:, None]
         for k, pace in walks:
             fresh[k] = pace
-        extra = None if self.nl is None else self.proposal_terms(i)
+        seen, extra = self.terms[i]
+        if self.nl is not None and seen != self.accepts:
+            extra = self.proposal_terms(i)
+            extra.flags.writeable = False
+            self.terms[i] = self.accepts, extra
         rejected = self._try(i, range(len(swarms)), here + fresh, fresh, extra)
         if rejected:
             # basic indexing while every run is left, which is the common case
@@ -468,6 +483,7 @@ class _Lockstep:
             value = values[j] if isfinite(values[j]) else np.inf
             if value < s.fitness[i]:
                 _accept(s, i, candidates[j], paces[j], value, s.weight_factors[i])
+                self.accepts += 1
             else:
                 rejected.append(k)
         return rejected

@@ -801,3 +801,37 @@ def test_run_many_records_are_views_of_one_block_with_a_share_of_the_time():
     assert block.shape == (3, 5, 4, 2)
     assert all(r.positions.base is block for r in records)
     assert len({r.wall_time_s for r in records}) == 1
+
+
+def test_run_many_reuses_neighborhood_terms_while_no_run_accepts(monkeypatch):
+    """TF9 accepts few moves, so most scouts reuse the terms of their last
+    move; the terms are computed again after any accept of any run."""
+    objective = next(spec for spec in all_objectives() if spec.id == "TF9")
+    config = RunConfig(population=10, iterations=60, mode=IFDO, record_positions=True)
+    seeds = (3, 4, 5, 6)
+    computed = []
+    terms = core._Lockstep.proposal_terms
+
+    def counted(self, i):
+        computed.append(i)
+        return terms(self, i)
+
+    monkeypatch.setattr(core._Lockstep, "proposal_terms", counted)
+    records = run_many(config, seeds, objective)
+    assert len(computed) < 600  # 10 scouts x 60 iterations computes them 600 times
+    for seed, record in zip(seeds, records):
+        assert _same_record(record, run(replace(config, seed=seed), objective))
+
+
+def test_run_many_keeps_reused_neighborhood_terms_read_only(monkeypatch):
+    """A try that wrote into its terms would change them for the scout's
+    next move; the kept terms refuse the write."""
+    try_ = core._Lockstep._try
+
+    def writing(self, i, runs, candidates, paces, extra):
+        extra += 0.0
+        return try_(self, i, runs, candidates, paces, extra)
+
+    monkeypatch.setattr(core._Lockstep, "_try", writing)
+    with pytest.raises(ValueError, match="read-only"):
+        run_many(RunConfig(population=4, iterations=2, mode=IFDO), (1, 2), sphere_objective(2))
