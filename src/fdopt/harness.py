@@ -146,20 +146,51 @@ def export_results(result, format, path, kind="summary"):
         raise OSError(f"failed to write {path}: {exc}") from exc
 
 
+def _history_lines(blocks, dim):
+    """One string per run and iteration, its agents' rows ``k,t,a,<coordinates>``.
+
+    An agent's ``a,<coordinates>`` text is formatted again only when the bits
+    of its position differ from the iteration before (so ``0.0 -> -0.0`` is
+    a change and a NaN that stays NaN is not); other agents reuse theirs.
+    """
+    tail = _line_template(1, dim)
+    for k, block in enumerate(blocks):
+        bits = block.view(np.uint64)
+        # changed[t, a]: agent a's bits differ from iteration t - 1; all of the first frame is new
+        changed = np.ones(block.shape[:2], bool)
+        np.any(bits[1:] != bits[:-1], axis=2, out=changed[1:])
+        # rows[0] stays "", so joining on "k,t," puts that prefix before every agent's text
+        rows = [""] * (block.shape[1] + 1)
+        for t, any_moved in enumerate(changed.any(axis=1).tolist()):
+            if any_moved:
+                moved = np.flatnonzero(changed[t]).tolist()
+                # one frame's moved agents as Python floats, never a whole run
+                for a, agent in zip(moved, block[t, moved].tolist()):
+                    rows[a + 1] = tail % (a, *agent)
+            yield f"{k},{t},".join(rows)
+
+
 def export_search_history(result, path):
-    """Raw per-agent positions: ``run,iteration,agent,dim0,dim1,...``."""
-    for record in result.records:
-        if record.positions is None:
-            raise ValueError("positions were not recorded; enable record_positions")
-    dim = result.records[0].positions.shape[2]
-    line = _line_template(3, dim)
-    # one string per (agents, dim) frame, so no whole run is held as Python floats
-    lines = (
-        "".join(line % (k, t, a, *agent) for a, agent in enumerate(frame.tolist()))
-        for k, record in enumerate(result.records)
-        for t, frame in enumerate(record.positions)
-    )
-    _write_csv(path, ["run", "iteration", "agent"] + [f"dim{j}" for j in range(dim)], lines=lines)
+    """Raw per-agent positions: ``run,iteration,agent,dim0,dim1,...``.
+
+    Every run's positions are checked before the file is opened, so a bad
+    record leaves no partial file.
+    """
+    blocks = [record.positions for record in result.records]
+    if any(block is None for block in blocks):
+        raise ValueError("positions were not recorded; enable record_positions")
+    for k, block in enumerate(blocks):
+        if not isinstance(block, np.ndarray):
+            raise ValueError(f"run {k}: positions must be a numpy array, got {type(block).__name__}")
+        # float64 also makes the uint64 view of ``_history_lines`` the position bits
+        if block.dtype != np.float64 or block.ndim != 3 or block.shape[1:] != blocks[0].shape[1:]:
+            raise ValueError(
+                f"run {k}: positions must be float64 (iterations, agents, dim) with run 0's "
+                f"agents and dim, got {block.dtype} of shape {block.shape}"
+            )
+    dim = blocks[0].shape[2]
+    header = ["run", "iteration", "agent"] + [f"dim{j}" for j in range(dim)]
+    _write_csv(path, header, lines=_history_lines(blocks, dim))
 
 
 def compare(results):

@@ -233,6 +233,39 @@ def _csv_writer_bytes(header, rows):
     return buffer.getvalue().encode()
 
 
+def _hand_built_result(traces, positions):
+    """An ExperimentResult over the given (runs, iterations) traces and
+    (runs, iterations, agents, dim) positions."""
+    records = [
+        core.RunRecord(
+            trace=trace, best_position=block[-1, 0], best_fitness=0.0, wall_time_s=0.0,
+            positions=block,
+        )
+        for trace, block in zip(traces, positions)
+    ]
+    runs, iterations, agents, _ = positions.shape
+    config = small_config(runs=runs, population=agents, iterations=iterations)
+    return harness.ExperimentResult(config=config, records=records)
+
+
+def _assert_history_is_csv_writer_over_every_row(path, positions):
+    """The history at ``path`` has the bytes of ``csv.writer`` over
+    ``"{:.17g}".format`` of every row, and every float reads back bit for bit."""
+    old = "{:.17g}".format
+    history_rows = [
+        (k, t, a, *map(old, agent))
+        for k, run in enumerate(positions.tolist())
+        for t, frame in enumerate(run)
+        for a, agent in enumerate(frame)
+    ]
+    header = ["run", "iteration", "agent"] + [f"dim{j}" for j in range(positions.shape[3])]
+    assert path.read_bytes() == _csv_writer_bytes(header, history_rows)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [tuple(map(int, row[:3])) for row in rows] == [row[:3] for row in history_rows]
+    assert np.array([[float(v) for v in row[3:]] for row in rows]).tobytes() == positions.tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 10])
 def test_trace_and_history_csvs_have_the_bytes_of_csv_writer(tmp_path, dim):
     """Hand-built records with awkward floats and multi-digit run, iteration and
@@ -247,15 +280,7 @@ def test_trace_and_history_csvs_have_the_bytes_of_csv_writer(tmp_path, dim):
         return values
 
     traces, positions = draw(runs, iterations), draw(runs, iterations, agents, dim)
-    records = [
-        core.RunRecord(
-            trace=trace, best_position=block[-1, 0], best_fitness=0.0, wall_time_s=0.0,
-            positions=block,
-        )
-        for trace, block in zip(traces, positions)
-    ]
-    config = small_config(runs=runs, population=agents, iterations=iterations)
-    result = harness.ExperimentResult(config=config, records=records)
+    result = _hand_built_result(traces, positions)
     trace_path, history_path = tmp_path / "trace.csv", tmp_path / "history.csv"
     export_results(result, "csv", trace_path, kind="trace")
     export_search_history(result, history_path)
@@ -266,23 +291,38 @@ def test_trace_and_history_csvs_have_the_bytes_of_csv_writer(tmp_path, dim):
     ]
     trace_header = ("run", "iteration", "best_fitness")
     assert trace_path.read_bytes() == _csv_writer_bytes(trace_header, trace_rows)
-    history_rows = [
-        (k, t, a, *map(old, agent))
-        for k, run in enumerate(positions.tolist())
-        for t, frame in enumerate(run)
-        for a, agent in enumerate(frame)
-    ]
-    header = ["run", "iteration", "agent"] + [f"dim{j}" for j in range(dim)]
-    assert history_path.read_bytes() == _csv_writer_bytes(header, history_rows)
-
     with open(trace_path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [(int(k), int(t)) for k, t, _ in rows] == [row[:2] for row in trace_rows]
     assert np.array([float(v) for *_, v in rows]).tobytes() == traces.tobytes()
-    with open(history_path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    assert [tuple(map(int, row[:3])) for row in rows] == [row[:3] for row in history_rows]
-    assert np.array([[float(v) for v in row[3:]] for row in rows]).tobytes() == positions.tobytes()
+    _assert_history_is_csv_writer_over_every_row(history_path, positions)
+
+
+@pytest.mark.parametrize("dim", [1, 10])
+def test_search_history_reformats_exactly_the_agents_whose_bits_changed(tmp_path, dim):
+    """Rows reused across iterations: agent 0 never moves, agent 1 flips a
+    coordinate between 0.0 and -0.0 (equal as floats, not as bits), agent 2
+    stays NaN, agent 3 moves only in the last iteration and agent 4 every
+    third one; each run starts from the frame the run before ended on."""
+    runs, iterations, agents = 3, 9, 5
+    rng = np.random.default_rng(100 + dim)
+    positions = np.empty((runs, iterations, agents, dim))
+    frame = rng.standard_normal((agents, dim))
+    frame[1, 0], frame[2] = 0.0, np.nan
+    for k in range(runs):
+        for t in range(iterations):
+            if t:
+                frame[1, 0] = -frame[1, 0]
+                if t == iterations - 1:
+                    frame[3] = rng.standard_normal(dim)
+                if t % 3 == 0:
+                    frame[4] = rng.standard_normal(dim)
+            positions[k, t] = frame
+    assert positions[1:, 0].tobytes() == positions[:-1, -1].tobytes()
+    result = _hand_built_result(np.zeros((runs, iterations)), positions)
+    path = tmp_path / "history.csv"
+    export_search_history(result, path)
+    _assert_history_is_csv_writer_over_every_row(path, positions)
 
 
 def test_summary_csv_quotes_the_objective_id(tmp_path):
@@ -306,6 +346,28 @@ def test_search_history_requires_positions(tmp_path):
     result = run_experiment(small_config(runs=1), sphere_objective())
     path = tmp_path / "history.csv"
     with pytest.raises(ValueError):
+        export_search_history(result, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "run, bad",
+    [
+        (1, np.zeros((4, 3, 3))),  # another dim
+        (2, np.zeros((4, 5, 2))),  # another agent count
+        (0, np.zeros((4, 3))),  # no agent axis
+        (1, np.zeros((4, 3, 2), dtype=np.float32)),
+        (1, [[[0.0, 0.0]] * 3] * 4),  # a list, not an array
+    ],
+    ids=["dim", "agents", "2d", "float32", "list"],
+)
+def test_search_history_rejects_a_bad_record_before_writing(tmp_path, run, bad):
+    """A run whose positions are not float64 (iterations, agents, dim) with run
+    0's agents and dim is named in the error, and no file is left behind."""
+    result = _hand_built_result(np.zeros((3, 4)), np.zeros((3, 4, 3, 2)))
+    result.records[run].positions = bad
+    path = tmp_path / "history.csv"
+    with pytest.raises(ValueError, match=f"run {run}"):
         export_search_history(result, path)
     assert not path.exists()
 
