@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Subcommands: run, bench, compare, antenna, evac, list.  Exit codes:
-0 success, 2 usage error, 3 I/O error.  All configuration is explicit
-flags, so identical invocations reproduce identical outputs.
+0 success, 2 usage error, 3 I/O or memory error.  All configuration is
+explicit flags, so identical invocations reproduce identical outputs.
 """
 
 import argparse
@@ -233,8 +233,9 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         return args.handler(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        # errors of the environment: the same flags may succeed elsewhere
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return IO_ERROR
 
 

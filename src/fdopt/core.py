@@ -108,7 +108,9 @@ class RunConfig:
 class SwarmState:
     """Full optimizer state for one run, indexed by scout.
 
-    ``_accept`` writes ``global_best_position`` in place, so it must not
+    ``fitness`` holds finite values or +inf: ``init_population`` maps a
+    non-finite initial value to +inf, and ``_accept`` is given only finite
+    ones.  It writes ``global_best_position`` in place, so that must not
     share memory with ``positions``.  In ``_Lockstep`` the arrays are row
     views of its blocks, and fitness and weight factors lists of floats.
     """
@@ -273,9 +275,8 @@ def init_population(config, objective):
     rng = np.random.default_rng(config.seed)
     positions = rng.uniform(bounds.lower, bounds.upper, size=(config.population, d))
     paces = np.zeros_like(positions)
-    fitness = np.array(
-        [_safe_fitness(objective, positions[i], rng) for i in range(config.population)]
-    )
+    fitness = np.array([objective.evaluate(positions[i], rng) for i in range(config.population)])
+    fitness[~np.isfinite(fitness)] = np.inf
     if config.mode == FDO:
         weight_factors = np.full(config.population, float(config.fdo_wf))
     elif config.wf_scope == "swarm":
@@ -296,17 +297,12 @@ def init_population(config, objective):
     )
 
 
-def _safe_fitness(objective, x, rng):
-    value = objective.evaluate(x, rng)
-    return value if isfinite(value) else np.inf
-
-
 def step(swarm, objective):
     """Advance the swarm by one iteration (in place) and return it.
 
     Each scout proposes a move; if it does not improve, the scout retries
-    with its previously saved pace, and otherwise stays put.  An improving
-    candidate is taken by ``_accept``.
+    with its previously saved pace, and otherwise stays put.  A candidate
+    with a finite value below the scout's fitness is taken by ``_accept``.
     """
     bounds = objective.bounds
     rng = swarm.rng
@@ -317,8 +313,9 @@ def step(swarm, objective):
         # only the sign of r is read, and it is the sign of Mantegna's
         # numerator normal; the denominator normal is drawn all the same
         r = rng.standard_normal(2)[0]
-        wf = float(swarm.weight_factors[i])
-        fw = compute_fitness_weight(swarm.global_best_fitness, current_fitness, wf, swarm.mode)
+        fw = compute_fitness_weight(
+            swarm.global_best_fitness, current_fitness, float(swarm.weight_factors[i]), swarm.mode
+        )
         ctx = neighborhood(i, swarm, nl) if ifdo else None
         fresh = compute_pace(swarm.positions[i], swarm.global_best_position, fw, r, rng)
         # first try with the fresh pace, second chance with the saved one
@@ -326,23 +323,23 @@ def step(swarm, objective):
             candidate = enforce_bounds(
                 propose_position(swarm.positions[i], pace, ctx, swarm.mode), bounds, rng
             )
-            new_fitness = _safe_fitness(objective, candidate, rng)
-            if new_fitness < current_fitness:
-                _accept(swarm, i, candidate, pace, new_fitness, wf)
+            value = objective.evaluate(candidate, rng)
+            if isfinite(value) and value < current_fitness:
+                _accept(swarm, i, candidate, pace, value)
                 break
     return swarm
 
 
-def _accept(swarm, i, candidate, pace, value, wf):
-    """The accept rule of ``step`` and ``_Lockstep._try``: scout ``i`` takes the
-    improving ``candidate``, its ``pace`` and fitness ``value``, IFDO shrinks
-    its weight factor ``wf`` (every scout's in swarm scope), and the global
-    best is refreshed in place.
+def _accept(swarm, i, candidate, pace, value):
+    """The accept rule of ``step`` and ``_Lockstep._try``, which pass only a
+    finite ``value`` below scout ``i``'s fitness: the scout takes
+    ``candidate``, its ``pace`` and ``value``, IFDO shrinks its weight factor
+    (every scout's in swarm scope), and the global best is refreshed in place.
     """
     swarm.positions[i] = candidate
     swarm.paces[i] = pace
     swarm.fitness[i] = value
-    new_wf = update_weight_factor(wf, swarm.mode, swarm.rng)
+    new_wf = update_weight_factor(swarm.weight_factors[i], swarm.mode, swarm.rng)
     if swarm.wf_scope == "swarm":
         # a list assignment, since the lockstep keeps the weight factors as a list
         swarm.weight_factors[:] = [new_wf] * len(swarm.weight_factors)
@@ -480,9 +477,9 @@ class _Lockstep:
         rejected = []
         for j, k in enumerate(runs):
             s = swarms[k]
-            value = values[j] if isfinite(values[j]) else np.inf
-            if value < s.fitness[i]:
-                _accept(s, i, candidates[j], paces[j], value, s.weight_factors[i])
+            value = values[j]
+            if isfinite(value) and value < s.fitness[i]:
+                _accept(s, i, candidates[j], paces[j], value)
                 self.accepts += 1
             else:
                 rejected.append(k)

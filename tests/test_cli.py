@@ -109,6 +109,30 @@ def test_run_checks_its_export_paths_before_any_run(flag, target, tmp_path, monk
 
 
 @pytest.mark.parametrize(
+    "error, message",
+    [(MemoryError("Unable to allocate 7.28 TiB for an array with shape (1, 1000000000000)"),
+      "error: Unable to allocate 7.28 TiB for an array with shape (1, 1000000000000)"),
+     (MemoryError(), "error: MemoryError")],
+    ids=["numpy-message", "bare"],
+)
+def test_run_out_of_memory_is_an_environment_error(error, message, monkeypatch, capsys):
+    # the run is stubbed: a real allocation of that size may succeed under
+    # overcommit and then never end
+    from fdopt import harness
+
+    def run_experiment(*args):
+        raise error
+
+    monkeypatch.setattr(harness, "run_experiment", run_experiment)
+    argv = ["run", "--function", "TF1", "--algo", "ifdo", "--iters", "1000000000000",
+            "--agents", "2"]
+    assert main(argv) == IO_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
     "first, second, spelling",
     [("--out", "--trace", "same.csv"), ("--trace", "--history", "./same.csv"),
      ("--out", "--history", "sub/../same.csv")],

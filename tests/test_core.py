@@ -602,6 +602,40 @@ def test_non_finite_fitness_never_accepted():
     assert np.all(np.diff(record.trace) <= 0.0)
 
 
+def _non_finite_strips(z, rng):
+    """NaN, -inf and +inf on three strips of [-1, 1]^2, the sphere elsewhere."""
+    if z[0] > 0.5:
+        return np.nan
+    if z[0] < -0.5:
+        return -np.inf
+    return np.inf if z[1] > 0.5 else sphere(z)
+
+
+NON_FINITE_STRIPS = ObjectiveSpec(
+    id="strips", dimension=2, bounds=box(2, -1, 1), evaluator=_non_finite_strips
+)
+
+
+def test_init_population_counts_every_non_finite_value_as_inf():
+    swarm = init_population(RunConfig(population=40, seed=5), NON_FINITE_STRIPS)
+    raw = np.array([NON_FINITE_STRIPS.evaluate(x) for x in swarm.positions])
+    assert np.isnan(raw).any() and np.isneginf(raw).any() and np.isposinf(raw).any()
+    bad = ~np.isfinite(raw)
+    assert np.all(swarm.fitness[bad] == np.inf)
+    assert swarm.fitness[~bad].tobytes() == raw[~bad].tobytes()
+    assert swarm.global_best_fitness == raw[~bad].min()
+
+
+@pytest.mark.parametrize("mode", core.MODES)
+def test_runs_from_non_finite_initial_values_trace_finite_non_increasing_bests(mode):
+    config = RunConfig(population=40, iterations=20, mode=mode, seed=5)
+    records = [run(config, NON_FINITE_STRIPS), *run_many(config, [5, 6], NON_FINITE_STRIPS)]
+    assert _same_record(records[0], records[1])
+    for record in records:
+        assert np.all(np.isfinite(record.trace))
+        assert np.all(np.diff(record.trace) <= 0.0)
+
+
 def test_first_best_iteration():
     assert first_best_iteration([5.0, 3.0, 3.0, 1.0, 1.0]) == 4
     assert first_best_iteration([2.0, 2.0]) == 1

@@ -3,9 +3,12 @@
 Each demo runs in a fresh directory and must exit 0, print the expected
 first line and write exactly the expected files there.
 ``demo_benchmarks.py`` (80 runs of 30 agents x 500 iterations) is left out
-for its run time.
+for its run time; like any demo that is not run, it is only compiled and
+the names it imports from ``fdopt`` are looked up.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -42,3 +45,21 @@ def test_demo_runs(demo, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == first_line
     assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize(
+    "demo", sorted(p.name for p in (ROOT / "demos").glob("*.py") if p.name not in DEMOS)
+)
+def test_unrun_demo_compiles_and_its_fdopt_imports_resolve(demo):
+    path = ROOT / "demos" / demo
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    compile(tree, str(path), "exec")
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fdopt"
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        missing = [alias.name for alias in node.names if not hasattr(module, alias.name)]
+        assert missing == [], f"{demo}: {node.module} has no {missing}"
