@@ -12,7 +12,7 @@ share one run loop, ``_drive``, and one accept rule, ``_accept``.
 
 import time
 from dataclasses import dataclass, replace
-from math import gamma, isfinite, pi, sin
+from math import gamma, isfinite, isnan, pi, sin
 from numbers import Integral, Real
 
 import numpy as np
@@ -163,11 +163,15 @@ def compute_fitness_weight(best_fitness, current_fitness, wf, mode):
 
     FDO subtracts the weight factor unconditionally; IFDO only subtracts
     it when the raw ratio exceeds it.  A zero current fitness short-circuits
-    to 0 to avoid dividing by zero.
+    to 0 to avoid dividing by zero, and so does a NaN ratio, inf / inf while
+    no scout has a finite value yet, which sends the scout on a random walk
+    instead of a NaN pace.
     """
     if current_fitness == 0.0:
         return 0.0
     ratio = abs(best_fitness / current_fitness)
+    if isnan(ratio):
+        return 0.0
     return ratio - wf if mode == FDO or ratio > wf else ratio
 
 
@@ -371,6 +375,15 @@ class _Lockstep:
     ``accepts`` counts the accepts of all runs.  A scout's IFDO
     ``proposal_terms`` are kept, read-only, with the count they were
     computed at, and reused until any run of the batch accepts a move.
+
+    ``memo`` is the pair of dicts that ``ObjectiveSpec.evaluate_many``
+    keeps the values of a ``deterministic`` row-by-row evaluator in, this
+    iteration's and the last one's; scout 0 starts a new pair, so it holds
+    at most two iterations of candidates.  A scout that rejected both tries
+    keeps its position and saved pace, so its next second try repeats the
+    same candidate bits, which the memo does not evaluate again.  Such an
+    evaluator draws nothing and its value depends on the candidate's bits
+    alone, so every bit and every draw stays as in ``step``.
     """
 
     def __init__(self, swarms, objective):
@@ -391,6 +404,7 @@ class _Lockstep:
         self.nl = neighbor_landscape(bounds) if swarms[0].mode == IFDO else None
         # per scout: the accept count its proposal terms were computed at, and the terms
         self.accepts, self.terms = 0, [(-1, None)] * swarms[0].population
+        self.memo = ({}, {})
 
     def proposal_terms(self, i):
         """What ``propose_position`` adds to position + pace for scout ``i``
@@ -434,6 +448,8 @@ class _Lockstep:
     def scout(self, i):
         """Move scout ``i`` of every run: ``step``'s loop body, batched over runs."""
         swarms, best_positions = self.swarms, self.best_positions
+        if i == 0:
+            self.memo = ({}, self.memo[0])
         here = self.positions[:, i]
         signed, walks = [], []
         for k, s in enumerate(swarms):
@@ -473,7 +489,9 @@ class _Lockstep:
         for j, out in enumerate(crossed.any(axis=1).tolist()):
             if out:
                 _repair(candidates[j], crossed[j], above[j], bounds, swarms[runs[j]].rng)
-        values = self.objective.evaluate_many(candidates, [swarms[k].rng for k in runs])
+        values = self.objective.evaluate_many(
+            candidates, [swarms[k].rng for k in runs], self.memo
+        )
         rejected = []
         for j, k in enumerate(runs):
             s = swarms[k]

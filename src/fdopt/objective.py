@@ -46,7 +46,7 @@ class ObjectiveSpec:
             )
         return float(self.evaluator(x - self.shift, rng))
 
-    def evaluate_many(self, X, rngs):
+    def evaluate_many(self, X, rngs, memo=None):
         """``evaluate`` of every row of the (n, d) batch ``X``, as a list of n floats.
 
         ``rngs`` holds one generator (or None) per row.  An evaluator marked
@@ -54,6 +54,13 @@ class ObjectiveSpec:
         one call; any other evaluates row by row in row order, row k
         drawing from ``rngs[k]``.  Either way each value has the bits
         ``evaluate`` gives for its row.
+
+        ``memo`` is a pair of dicts, (this iteration's, the last one's),
+        keyed by a shifted row's bytes.  For an evaluator that
+        ``deterministic`` built, whose value is a function of those bytes
+        alone and which draws nothing, a row found in either dict is not
+        evaluated again; every row's value is kept in the first.  Other
+        evaluators ignore it.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension or len(rngs) != X.shape[0]:
@@ -62,9 +69,21 @@ class ObjectiveSpec:
                 f"got shape {X.shape} and {len(rngs)} generators"
             )
         Z = X - self.shift
-        if getattr(self.evaluator, "over_last_axis", False):
-            return self.evaluator(Z, None).tolist()
-        return [float(self.evaluator(z, rng)) for z, rng in zip(Z, rngs)]
+        evaluator = self.evaluator
+        if getattr(evaluator, "over_last_axis", False):
+            return evaluator(Z, None).tolist()
+        if memo is None or not getattr(evaluator, "deterministic", False):
+            return [float(evaluator(z, rng)) for z, rng in zip(Z, rngs)]
+        this, last = memo
+        values = []
+        for z in Z:
+            key = z.tobytes()
+            value = this.get(key, last.get(key))
+            if value is None:
+                value = float(evaluator(z, None))
+            this[key] = value
+            values.append(value)
+        return values
 
 
 def over_last_axis(kernel):
@@ -77,14 +96,18 @@ def over_last_axis(kernel):
 def deterministic(kernel):
     """Wrap an rng-free kernel, z -> real scalar, into the (z, rng) evaluator signature.
 
-    The evaluator keeps the kernel's ``over_last_axis`` mark, so
-    ``ObjectiveSpec.evaluate_many`` calls it once on a whole batch.
+    The kernel's value must depend on the bits of z alone.  The evaluator
+    keeps the kernel's ``over_last_axis`` mark, so
+    ``ObjectiveSpec.evaluate_many`` calls it once on a whole batch, and is
+    marked ``deterministic``, so a row-by-row ``evaluate_many`` given a memo
+    evaluates a repeated row once.
     """
 
     def evaluator(z, rng):
         return kernel(z)
 
     evaluator.over_last_axis = getattr(kernel, "over_last_axis", False)
+    evaluator.deterministic = True
     return evaluator
 
 

@@ -132,6 +132,12 @@ def test_fitness_weight_zero_current():
     assert compute_fitness_weight(2.0, 0.0, 0.3, FDO) == 0.0
 
 
+@pytest.mark.parametrize("mode", core.MODES)
+def test_fitness_weight_walks_while_no_scout_has_a_finite_value(mode):
+    """inf / inf is NaN; the scout random-walks instead of taking a NaN pace."""
+    assert compute_fitness_weight(np.inf, np.inf, 0.3, mode) == 0.0
+
+
 def test_fitness_weight_fdo_direct():
     assert compute_fitness_weight(3.0, 3.0, 0.0, FDO) == pytest.approx(1.0, abs=1e-12)
 
@@ -636,6 +642,30 @@ def test_runs_from_non_finite_initial_values_trace_finite_non_increasing_bests(m
         assert np.all(np.diff(record.trace) <= 0.0)
 
 
+def _island(z):
+    """The sphere where every coordinate lies within 0.3 of 0, NaN elsewhere."""
+    return sphere(z) if np.abs(z).max() < 0.3 else np.nan
+
+
+ISLAND = ObjectiveSpec(id="island", dimension=2, bounds=box(2, -1, 1),
+                       evaluator=deterministic(_island))
+
+
+@pytest.mark.parametrize("mode", core.MODES)
+def test_a_swarm_without_a_finite_initial_value_walks_until_it_finds_one(mode):
+    """Both scouts start off the island at +inf.  A NaN fitness weight would
+    give NaN candidates and leave the swarm where it started for good."""
+    config = RunConfig(population=2, iterations=600, mode=mode, seed=0, record_positions=True)
+    start = init_population(config, ISLAND)
+    assert np.all(start.fitness == np.inf)
+    records = [run(config, ISLAND), *run_many(config, [0, 1], ISLAND)]
+    assert _same_record(records[0], records[1])
+    record = records[0]
+    assert np.any(record.positions[-1] != start.positions)
+    assert record.trace[0] == np.inf and np.isfinite(record.best_fitness)
+    assert np.all(np.abs(record.best_position) < 0.3)
+
+
 def test_first_best_iteration():
     assert first_best_iteration([5.0, 3.0, 3.0, 1.0, 1.0]) == 4
     assert first_best_iteration([2.0, 2.0]) == 1
@@ -869,3 +899,68 @@ def test_run_many_keeps_reused_neighborhood_terms_read_only(monkeypatch):
     monkeypatch.setattr(core._Lockstep, "_try", writing)
     with pytest.raises(ValueError, match="read-only"):
         run_many(RunConfig(population=4, iterations=2, mode=IFDO), (1, 2), sphere_objective(2))
+
+
+def _kernel_spy(spec, calls, wrap=deterministic):
+    """``spec`` with its evaluator counting its calls in ``calls``, built by
+    ``wrap`` from a kernel (``deterministic``) or as a raw (z, rng) evaluator."""
+    evaluator = spec.evaluator
+
+    def counted(z, rng=None):
+        calls.append(1)
+        return evaluator(z, rng)
+
+    return replace(spec, evaluator=wrap(counted))
+
+
+@pytest.mark.parametrize("fid, mode", [("ANTENNA", FDO), ("EVAC", FDO), ("EVAC", IFDO)])
+def test_run_many_evaluates_a_repeated_candidate_of_a_deterministic_kernel_once(fid, mode):
+    """A scout that rejected both tries proposes its second try again; the
+    lockstep finds its value instead of calling the kernel, and keeps every bit."""
+    objective = next(spec for spec in all_objectives() if spec.id == fid)
+    config = RunConfig(population=10, iterations=60, mode=mode, record_positions=True)
+    seeds = (3, 4, 5, 6)
+    in_lockstep, candidates = [], []
+    records = run_many(config, seeds, _kernel_spy(objective, in_lockstep))
+    alone = _kernel_spy(objective, candidates)
+    for seed, record in zip(seeds, records):
+        assert _same_record(record, run(replace(config, seed=seed), alone))
+    assert len(in_lockstep) < len(candidates)
+
+
+@pytest.mark.parametrize("fid", ["TF7", "ANTENNA"])
+def test_run_many_calls_a_raw_evaluator_once_per_candidate(fid):
+    """Noisy TF7 draws on every call, and a raw (z, rng) evaluator may keep
+    state: neither is memoized, even where candidates repeat (ANTENNA)."""
+    objective = next(spec for spec in all_objectives() if spec.id == fid)
+    config = RunConfig(population=10, iterations=30, mode=FDO)
+    seeds = (3, 4)
+    in_lockstep, candidates = [], []
+    records = run_many(config, seeds, _kernel_spy(objective, in_lockstep, wrap=lambda f: f))
+    alone = _kernel_spy(objective, candidates, wrap=lambda f: f)
+    for seed, record in zip(seeds, records):
+        assert _same_record(record, run(replace(config, seed=seed), alone))
+    assert len(in_lockstep) == len(candidates)
+
+
+def test_lockstep_memo_holds_the_candidates_of_two_iterations_at_most():
+    """After each iteration the memo holds exactly that iteration's candidates
+    and the last one's."""
+    objective = next(spec for spec in all_objectives() if spec.id == "ANTENNA")
+    evaluate_many, seen = objective.evaluate_many, [set()]
+
+    def recorded(X, rngs, memo=None):
+        seen[-1].update(x.tobytes() for x in X)  # ANTENNA's shift is zero
+        return evaluate_many(X, rngs, memo)
+
+    objective.evaluate_many = recorded
+    config = RunConfig(population=8, mode=FDO)
+    batch = core._Lockstep([init_population(replace(config, seed=s), objective)
+                            for s in (3, 4, 5)], objective)
+    for _ in range(40):
+        seen.append(set())
+        for i in range(config.population):
+            batch.scout(i)
+        this, last = batch.memo
+        assert set(this) == seen[-1] and set(last) == seen[-2]
+        assert len(this) + len(last) <= 2 * 3 * config.population * 2

@@ -360,6 +360,87 @@ def test_sphere_and_rastrigin_evaluate_a_batch_in_one_call(fid, kernel):
         assert len(shapes) == calls
 
 
+def _signed_spec(calls):
+    """A deterministic 2-d spec whose kernel tells -0.0 from 0.0 and counts its calls."""
+
+    def signed(z):
+        calls.append(z.tobytes())
+        return math.copysign(1.0, z[0]) + z[1]
+
+    return ObjectiveSpec("signed", 2, box(2, -1, 1), deterministic(signed))
+
+
+def test_evaluate_many_with_a_memo_evaluates_each_distinct_row_once():
+    """Rows are told apart by their bytes: -0.0 and 0.0 are two entries, and
+    a NaN row, which compares unequal to itself, is found again."""
+    calls = []
+    spec = _signed_spec(calls)
+    X = np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [0.25, np.nan], [0.25, np.nan]])
+    expected = [spec.evaluate(x) for x in X]
+    calls.clear()
+    memo = ({}, {})
+    values = spec.evaluate_many(X, [None] * len(X), memo)
+    assert np.array(values).view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+    assert values[:3] == [1.5, -0.5, 1.5] and math.isnan(values[4])
+    assert calls == [X[0].tobytes(), X[1].tobytes(), X[3].tobytes()]
+    assert len(memo[0]) == 3 and memo[1] == {}
+
+
+def test_evaluate_many_finds_rows_of_the_last_iteration_and_keeps_them():
+    calls = []
+    spec = _signed_spec(calls)
+    X = np.array([[0.25, 0.5], [-0.0, 0.0]])
+    last = {X[0].tobytes(): 7.0}
+    this = {}
+    assert spec.evaluate_many(X, [None, None], (this, last)) == [7.0, -1.0]
+    assert calls == [X[1].tobytes()]
+    assert this == {X[0].tobytes(): 7.0, X[1].tobytes(): -1.0}
+
+
+def test_evaluate_many_keys_the_memo_by_the_shifted_row():
+    calls = []
+    spec = replace(_signed_spec(calls), shift=np.array([0.5, 0.0]))
+    X = np.array([[0.5, 0.25]])
+    memo = ({}, {})
+    assert spec.evaluate_many(X, [None], memo) == [spec.evaluate(X[0])]
+    assert list(memo[0]) == [(X[0] - spec.shift).tobytes()]
+
+
+@pytest.mark.parametrize("fid", ["TF7", "TF1", "TF9"])
+def test_evaluate_many_ignores_the_memo_of_noisy_and_batched_evaluators(fid):
+    """TF7 draws noise, so a repeated row draws again; TF1 and TF9 evaluate
+    the batch in one call.  None of them reads or writes the memo."""
+    spec = SPECS[fid]
+    x = np.random.default_rng(14).uniform(spec.bounds.lower, spec.bounds.upper)
+    X = np.array([x, x, x])
+    many_rngs = [np.random.default_rng(7) for _ in X]
+    row_rngs = [np.random.default_rng(7) for _ in X]
+    # a wrong value kept for the row: read, it would make the values NaN
+    key = (x - spec.shift).tobytes()
+    memo = ({}, {key: np.nan})
+    assert spec.evaluate_many(X, many_rngs, memo) == [
+        spec.evaluate(row, rng) for row, rng in zip(X, row_rngs)
+    ]
+    assert memo[0] == {} and list(memo[1]) == [key]
+    for a, b in zip(many_rngs, row_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_evaluate_many_ignores_the_memo_of_a_raw_evaluator():
+    """An evaluator not built by ``deterministic`` may keep state: it is
+    called once per row, repeated or not."""
+    calls = []
+
+    def stateful(z, rng):
+        calls.append(z.tobytes())
+        return float(len(calls))
+
+    spec = ObjectiveSpec("stateful", 2, box(2, -1, 1), stateful)
+    memo = ({}, {})
+    assert spec.evaluate_many(np.zeros((3, 2)), [None] * 3, memo) == [1.0, 2.0, 3.0]
+    assert len(calls) == 3 and memo == ({}, {})
+
+
 @pytest.mark.parametrize(
     "shape, generators",
     [((10,), 1), ((3, 9), 3), ((3, 11), 3), ((2, 3, 10), 2), ((3, 10), 2), ((3, 10), 4)],
