@@ -39,20 +39,29 @@ MANTEGNA_SIGMA = (
 
 @dataclass
 class Bounds:
-    """Box bounds of a search space."""
+    """Box bounds of a search space.
+
+    ``lower`` and ``upper`` are read-only float copies of the vectors
+    passed in, so the box cannot change after it is checked; the caller's
+    arrays stay writable.  ``straddles_zero``, worked out once here and
+    not a field, is whether every lower bound is < 0 and every upper
+    bound > 0: on such a box ``enforce_bounds`` skips its final clamp.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
+        self.lower = np.array(self.lower, dtype=float)
+        self.upper = np.array(self.upper, dtype=float)
         if self.lower.ndim != 1 or self.lower.size == 0 or self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper must be non-empty vectors of the same shape")
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
+        self.lower.flags.writeable = self.upper.flags.writeable = False
+        self.straddles_zero = bool((self.lower < 0.0).all() and (self.upper > 0.0).all())
 
     @property
     def dimension(self):
@@ -244,10 +253,19 @@ def enforce_bounds(position, bounds, rng):
     ``lower``, and with ``upper < 0`` every upper-side repair lands exactly
     on ``upper``.  The rule itself is kept unchanged.
 
+    The clamp runs only on boxes that are not ``bounds.straddles_zero``,
+    where some lower bound is >= 0 or some upper bound <= 0 (ANTENNA and
+    EVAC).  On the others, the 29 suite objectives' boxes, it cannot change
+    a bit: a
+    repaired coordinate is the crossed bound times u in [0, 1), so it lies
+    between a signed zero and that non-zero bound, possibly on it; an
+    untouched one is inside the box or NaN, which the clamp returns as
+    it is; and with no bound a signed zero, no tie can flip a sign.
+
     Evaluation order: nothing is drawn unless some coordinate lies outside
     the box (a NaN coordinate never does).  Otherwise one ``rng.random(k)``
     call draws the uniforms of the k violated coordinates in index order;
-    the clamp then runs once over the whole vector.
+    the clamp, where it runs, then runs once over the whole vector.
     """
     out = np.array(position, dtype=float)
     above = out > bounds.upper
@@ -262,7 +280,8 @@ def _repair(out, crossed, above, bounds, rng):
     ``crossed`` coordinates and those of them ``above`` the box."""
     lb, ub = bounds.lower, bounds.upper
     out[crossed] = np.where(above, ub, lb)[crossed] * rng.random(np.count_nonzero(crossed))
-    out.clip(lb, ub, out=out)
+    if not bounds.straddles_zero:
+        out.clip(lb, ub, out=out)
 
 
 def update_weight_factor(wf, mode, rng):

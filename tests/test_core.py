@@ -1,6 +1,6 @@
 """Unit tests for the optimizer engine."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -340,6 +340,27 @@ def test_enforce_bounds_always_feasible():
         assert bounds.lower[0] <= out[0] <= bounds.upper[0]
 
 
+def _clamped_repair(out, crossed, above, bounds, rng):
+    """The bound repair with its final clamp on every box, as it was before
+    ``Bounds.straddles_zero`` let boxes around zero skip it."""
+    lb, ub = bounds.lower, bounds.upper
+    out[crossed] = np.where(above, ub, lb)[crossed] * rng.random(np.count_nonzero(crossed))
+    out.clip(lb, ub, out=out)
+
+
+def clamped_enforce_bounds(position, bounds, rng):
+    out = np.array(position, dtype=float)
+    above = out > bounds.upper
+    crossed = above | (out < bounds.lower)
+    if crossed.any():
+        _clamped_repair(out, crossed, above, bounds, rng)
+    return out
+
+
+def assert_same_bits(a, b):
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 @st.composite
 def box_and_point(draw):
     """A box anywhere on the line (often entirely above or below zero) and a point."""
@@ -356,6 +377,8 @@ def test_enforce_bounds_feasible_on_any_box(case, seed):
     bounds, x = case
     lb, ub = bounds.lower, bounds.upper
     out = enforce_bounds(x, bounds, np.random.default_rng(seed))
+    # bit for bit the always-clamped repair, also where the clamp is skipped
+    assert_same_bits(out, clamped_enforce_bounds(x, bounds, np.random.default_rng(seed)))
     assert np.all((lb <= out) & (out <= ub))
     inside = (lb <= x) & (x <= ub)
     np.testing.assert_array_equal(out[inside], x[inside])
@@ -364,6 +387,61 @@ def test_enforce_bounds_feasible_on_any_box(case, seed):
     pinned_high = (x > ub) & (ub < 0)
     np.testing.assert_array_equal(out[pinned_low], lb[pinned_low])
     np.testing.assert_array_equal(out[pinned_high], ub[pinned_high])
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(-5.12, 5.12), (-1e-3, 1e6), (-5e-324, 5e-324), (0.125, 2.0), (0.0, 10.0),
+     (-10.0, -0.0), (-10.0, -1.0)],
+)
+@pytest.mark.parametrize(
+    "make_rng",
+    [lambda: np.random.default_rng(7), lambda: FixedUniformRng(0.0),
+     lambda: FixedUniformRng(np.nextafter(1.0, 0.0))],
+    ids=["generator", "u=0", "u<1"],
+)
+def test_enforce_bounds_keeps_the_clamped_bits_on_edge_points(lower, upper, make_rng):
+    # signed zeros, NaN, infinities, both bounds and the floats just past them;
+    # with u = 0 a repair gives +0.0 above the box and -0.0 below it
+    points = [-0.0, 0.0, np.nan, np.inf, -np.inf, lower, upper,
+              np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf), 3.0 * lower, 3.0 * upper]
+    bounds = box(len(points), lower, upper)
+    assert bounds.straddles_zero == (lower < 0.0 < upper)
+    for x in (np.array(points), np.array(points[::-1])):
+        out = enforce_bounds(x, bounds, make_rng())
+        assert_same_bits(out, clamped_enforce_bounds(x, bounds, make_rng()))
+
+
+def test_only_antenna_and_evac_keep_the_clamp():
+    objectives = all_objectives()
+    assert len(objectives) == 31
+    assert sorted(o.id for o in objectives if not o.bounds.straddles_zero) == ["ANTENNA", "EVAC"]
+
+
+def test_the_clamp_still_pins_repairs_on_boxes_off_zero():
+    antenna = next(o for o in all_objectives() if o.id == "ANTENNA").bounds
+    x = np.full(antenna.dimension, 1.0)
+    x[0] = -3.0
+    assert enforce_bounds(x, antenna, np.random.default_rng(3))[0] == 0.125
+    out = enforce_bounds(np.array([5.0, -5.0]), box(2, -10.0, -1.0), np.random.default_rng(3))
+    assert out[0] == -1.0 and out[1] == -5.0
+
+
+def test_the_repair_reads_straddles_zero_to_skip_the_clamp():
+    bounds = box(1, 0.125, 2.0)
+    bounds.straddles_zero = True  # untrue for this box: the unclamped repair shows
+    assert enforce_bounds(np.array([-1.0]), bounds, FixedUniformRng(0.5))[0] == 0.0625
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, 10.0), (-0.0, 10.0), (-10.0, 0.0), (-10.0, -0.0)])
+def test_a_zero_bound_keeps_the_clamp(lower, upper):
+    # the clamp, run for the coordinate outside, maps the untouched zero of
+    # the other sign onto the zero bound
+    bounds = box(2, lower, upper)
+    assert not bounds.straddles_zero
+    bound, outside = (lower, 11.0) if lower == 0.0 else (upper, -11.0)
+    out = enforce_bounds(np.array([-bound, outside]), bounds, np.random.default_rng(0))
+    assert np.signbit(out[0]) == np.signbit(bound)
 
 
 # -- weight factor -----------------------------------------------------------
@@ -480,6 +558,20 @@ def test_config_rejects_record_positions_that_is_not_a_bool(flag):
 def test_config_accepts_bool_like_record_positions(flag):
     record = run(RunConfig(population=3, iterations=2, record_positions=flag), sphere_objective(2))
     assert (record.positions is not None) == bool(flag)
+
+
+def test_bounds_keep_read_only_copies():
+    lower, upper = np.array([-1.0, -2.0]), np.array([1.0, 2.0])
+    bounds = Bounds(lower, upper)
+    for array in (bounds.lower, bounds.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert lower.flags.writeable and upper.flags.writeable
+    lower[0], upper[0] = 5.0, 7.0
+    assert bounds.lower.tolist() == [-1.0, -2.0] and bounds.upper.tolist() == [1.0, 2.0]
+    # straddles_zero is an attribute, not a field: repr and equality read the bounds only
+    assert [f.name for f in fields(Bounds)] == ["lower", "upper"]
+    assert "straddles_zero" not in repr(bounds)
 
 
 def test_bounds_validation():

@@ -3,8 +3,8 @@ every module-level private name it defines is referenced in the package,
 every defaulted parameter or dataclass field it defines is passed by some
 call in the repository, files are opened for writing at known sites only,
 no module but the CLI prints, one helper checks every choice, one accept
-rule refreshes the global best, and every attribute the benchmark's span
-recorder wraps exists."""
+rule refreshes the global best, one bound repair clamps, and every
+attribute the benchmark's span recorder wraps exists."""
 
 import ast
 import importlib.util
@@ -435,6 +435,59 @@ def test_detects_a_best_assignment():
     expected = [("a.py", "_accept", 2), ("a.py", "_try", 5), ("a.py", "_try", 7),
                 ("b.py", "<module>", 1), ("core.py", "step", 5)]
     assert _best_assignments(sources) == expected
+
+
+def _clip_calls(sources):
+    """(module, function, line) of every call of a ``clip`` method or function,
+    ``np.clip`` included, outside ``core._repair`` and ``core.levy_random``.
+
+    ``sources`` maps module names to source text.
+    """
+    allowed = {("core.py", "_repair"), ("core.py", "levy_random")}
+    return sorted(
+        (module, function, call.lineno)
+        for module, source in sources.items()
+        for function, call in _calls(ast.parse(source))
+        if getattr(call.func, "attr", getattr(call.func, "id", None)) == "clip"
+        and (module, function) not in allowed
+    )
+
+
+def test_one_repair_rule():
+    """core._repair, the bound repair of core.enforce_bounds and of the lockstep
+    engine, is the one site that clamps a candidate into its box, so whether
+    the clamp runs is decided in one place; core.levy_random clamps its draws."""
+    assert _clip_calls({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_detects_a_clip_call():
+    sources = {
+        "core.py": (
+            "def _repair(out, lb, ub):\n"
+            "    out.clip(lb, ub, out=out)\n"
+            "def levy_random(rng, size):\n"
+            "    return (0.01 * rng.standard_normal(size)).clip(-1.0, 1.0)\n"
+            "def enforce_bounds(x, lb, ub):\n"
+            "    return np.clip(x, lb, ub)\n"
+        ),
+        "a.py": (
+            "import numpy\n"
+            "from numpy import clip\n"
+            "def _repair(x, b):\n"
+            "    return numpy.clip(x, b.lower, b.upper)\n"
+            "class Batch:\n"
+            "    def _try(self, rows):\n"
+            "        rows.clip(self.lower, self.upper, out=rows)\n"
+            "        return [clip(r, 0.0, 1.0) for r in rows]\n"
+            "def levy_random(x):\n"
+            "    return x.clip(-1.0, 1.0)\n"
+            "y = np.asarray(x).clip(0.0, 1.0)\n"
+            "bound_method = x.clip\n"
+        ),
+    }
+    expected = [("a.py", "<module>", 11), ("a.py", "_repair", 4), ("a.py", "_try", 7),
+                ("a.py", "_try", 8), ("a.py", "levy_random", 10), ("core.py", "enforce_bounds", 6)]
+    assert _clip_calls(sources) == expected
 
 
 def test_every_name_the_benchmark_wraps_exists():
