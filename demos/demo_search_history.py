@@ -11,14 +11,16 @@ import numpy as np
 from fdopt import ExperimentConfig, run_experiment, get_objective
 from fdopt.core import IFDO
 from fdopt.harness import export_results, export_search_history
-from fdopt.objective import ObjectiveSpec, box, deterministic
+from fdopt.objective import ObjectiveSpec, box
 from fdopt.classical import rastrigin
 
+# an objective that draws no noise is a plain function of the shifted
+# position, z -> real scalar; a noisy one would take (z, rng) and set noisy=True
 objective = ObjectiveSpec(
     id="rastrigin2",
     dimension=2,
     bounds=box(2, -5.12, 5.12),
-    evaluator=deterministic(rastrigin),
+    evaluator=rastrigin,
 )
 config = ExperimentConfig(
     objective_id="rastrigin2",

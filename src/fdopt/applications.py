@@ -14,7 +14,7 @@ from numbers import Real
 import numpy as np
 
 from .core import _require_choice, _require_int
-from .objective import ObjectiveSpec, box, deterministic
+from .objective import ObjectiveSpec, box
 
 # -- antenna array -----------------------------------------------------------
 
@@ -118,7 +118,7 @@ def antenna_objective():
         id="ANTENNA",
         dimension=4,
         bounds=box(4, MIN_POSITION, MAX_POSITION),
-        evaluator=deterministic(antenna_fitness),
+        evaluator=antenna_fitness,
     )
 
 
@@ -232,7 +232,7 @@ def evac_objective(scenario):
         id="EVAC",
         dimension=1,
         bounds=box(1, 0.0, scenario.perimeter),
-        evaluator=deterministic(lambda z: evac_fitness(z[0], scenario)),
+        evaluator=lambda z: evac_fitness(z[0], scenario),
     )
 
 

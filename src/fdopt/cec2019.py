@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-from .objective import ObjectiveSpec, box, deterministic
+from .objective import ObjectiveSpec, box
 from .classical import rastrigin, griewank, weierstrass, ackley
 
 
@@ -115,7 +115,7 @@ def cec_catalog():
                 id=fid,
                 dimension=dim,
                 bounds=box(dim, low, high),
-                evaluator=deterministic(kernel),
+                evaluator=kernel,
                 known_fmin=fmin,
                 tabulated_fmin=1.0,
             )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import ObjectiveSpec, box, deterministic, over_last_axis
+from .objective import ObjectiveSpec, box, over_last_axis
 
 DIM = 10
 
@@ -215,7 +215,7 @@ def composite_specs():
 
 def _spec(fid, kernel, low, high, shift, optimum_offset=0.0, noisy=False, **kw):
     """A 10-dimensional spec; ``shift`` is a scalar or a full vector, and a
-    noisy kernel takes ``(z, rng)`` and is the evaluator itself."""
+    noisy kernel takes ``(z, rng)``."""
     shift = np.full(DIM, shift, dtype=float)
     kw.setdefault("optimum", shift + optimum_offset)
     kw.setdefault("known_fmin", 0.0)
@@ -223,7 +223,7 @@ def _spec(fid, kernel, low, high, shift, optimum_offset=0.0, noisy=False, **kw):
         id=fid,
         dimension=DIM,
         bounds=box(DIM, low, high),
-        evaluator=kernel if noisy else deterministic(kernel),
+        evaluator=kernel,
         shift=shift,
         noisy=noisy,
         **kw,

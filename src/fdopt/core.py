@@ -46,10 +46,16 @@ class Bounds:
     arrays stay writable.  ``straddles_zero``, worked out once here and
     not a field, is whether every lower bound is < 0 and every upper
     bound > 0: on such a box ``enforce_bounds`` skips its final clamp.
+    Two boxes are equal when their bounds are equal value by value.
     """
 
     lower: np.ndarray
     upper: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, Bounds):
+            return NotImplemented
+        return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
 
     def __post_init__(self):
         self.lower = np.array(self.lower, dtype=float)
@@ -395,9 +401,9 @@ class _Lockstep:
     ``proposal_terms`` are kept, read-only, with the count they were
     computed at, and reused until any run of the batch accepts a move.
 
-    ``memo`` is the pair of dicts that ``ObjectiveSpec.evaluate_many``
-    keeps the values of a ``deterministic`` row-by-row evaluator in, this
-    iteration's and the last one's; scout 0 starts a new pair, so it holds
+    ``memo`` is the pair of dicts, this iteration's and the last one's, in
+    which ``ObjectiveSpec.evaluate_many`` keeps the values of an evaluator
+    that is neither noisy nor batched; scout 0 starts a new pair, so it holds
     at most two iterations of candidates.  A scout that rejected both tries
     keeps its position and saved pace, so its next second try repeats the
     same candidate bits, which the memo does not evaluate again.  Such an

@@ -29,7 +29,7 @@ from fdopt.core import (
 from fdopt.classical import catalog, composite_specs, composite_evaluate
 from fdopt.cec2019 import cec_catalog, cec_evaluate
 from fdopt.harness import ExperimentConfig, export_results, run_experiment
-from fdopt.objective import ObjectiveSpec, box, deterministic
+from fdopt.objective import ObjectiveSpec, box
 from fdopt.classical import sphere
 from fdopt.registry import get_objective
 
@@ -264,7 +264,7 @@ def test_criterion_8_small_instance_global_search():
             id=f"sphere{dim}",
             dimension=dim,
             bounds=box(dim, -1.0, 1.0),
-            evaluator=deterministic(sphere),
+            evaluator=sphere,
         )
         # brute-force grid oracle (2001 points per axis)
         axis = np.linspace(-1.0, 1.0, 2001)

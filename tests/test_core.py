@@ -28,7 +28,7 @@ from fdopt.core import (
     step,
     update_weight_factor,
 )
-from fdopt.objective import ObjectiveSpec, box, deterministic
+from fdopt.objective import ObjectiveSpec, box
 from fdopt.classical import sphere, rastrigin
 from fdopt.registry import all_objectives
 
@@ -38,7 +38,7 @@ def sphere_objective(dim, low=-1.0, high=1.0):
         id=f"sphere{dim}",
         dimension=dim,
         bounds=box(dim, low, high),
-        evaluator=deterministic(sphere),
+        evaluator=sphere,
     )
 
 
@@ -470,7 +470,7 @@ def test_step_keeps_weight_factor_of_a_scout_rejected_twice():
     """
     shift = np.array([0.5, -0.25])
     objective = ObjectiveSpec(
-        id="shifted", dimension=2, bounds=box(2, -1, 1), evaluator=deterministic(sphere),
+        id="shifted", dimension=2, bounds=box(2, -1, 1), evaluator=sphere,
         shift=shift,
     )
     swarm = init_population(RunConfig(population=6, mode=IFDO, seed=5), objective)
@@ -513,7 +513,7 @@ def test_init_population_in_box():
     assert np.all(swarm.positions <= 100.0)
 
 
-def test_init_population_deterministic():
+def test_init_population_is_reproducible():
     objective = sphere_objective(4)
     a = init_population(RunConfig(population=5, seed=9), objective)
     b = init_population(RunConfig(population=5, seed=9), objective)
@@ -572,6 +572,14 @@ def test_bounds_keep_read_only_copies():
     # straddles_zero is an attribute, not a field: repr and equality read the bounds only
     assert [f.name for f in fields(Bounds)] == ["lower", "upper"]
     assert "straddles_zero" not in repr(bounds)
+
+
+def test_bounds_compare_by_value():
+    square = Bounds([-1, -1], [1, 1])
+    assert square == Bounds([-1.0, -1.0], [1.0, 1.0]) and not square != Bounds([-1, -1], [1, 1])
+    assert square != Bounds([-1, -1], [1, 2])
+    assert square != Bounds([-1, -1, -1], [1, 1, 1])
+    assert square != (square.lower, square.upper)
 
 
 def test_bounds_validation():
@@ -666,18 +674,37 @@ def test_run_trace_contract():
     assert record.best_fitness == record.trace[-1]
 
 
-def test_run_deterministic():
+def test_run_is_reproducible():
     objective = ObjectiveSpec(
         id="rastrigin2",
         dimension=2,
         bounds=box(2, -5.12, 5.12),
-        evaluator=deterministic(rastrigin),
+        evaluator=rastrigin,
     )
     a = run(RunConfig(population=12, iterations=40, seed=123), objective)
     b = run(RunConfig(population=12, iterations=40, seed=123), objective)
     np.testing.assert_array_equal(a.trace, b.trace)
     np.testing.assert_array_equal(a.best_position, b.best_position)
     assert a.best_fitness == b.best_fitness
+
+
+def test_a_plain_function_evaluator_gives_the_bits_of_run():
+    """A spec that is not noisy holds a plain z -> real scalar function:
+    ``evaluate``, ``evaluate_many`` and ``run_many`` give ``run``'s bits."""
+    objective = ObjectiveSpec(
+        id="plain", dimension=2, bounds=box(2, -1, 1), shift=[0.25, -0.5],
+        evaluator=lambda z: np.abs(z).sum() + z[0] * z[1],
+    )
+    config = RunConfig(population=6, iterations=25, mode=IFDO, record_positions=True)
+    seeds = (2, 3)
+    alone = [run(replace(config, seed=seed), objective) for seed in seeds]
+    for a, b in zip(alone, run_many(config, seeds, objective)):
+        assert _same_record(a, b)
+    for record in alone:
+        assert objective.evaluate(record.best_position) == record.best_fitness
+        X = record.positions[-1]
+        rows = np.array([objective.evaluate(x) for x in X])
+        assert np.array(objective.evaluate_many(X, [None] * len(X))).tobytes() == rows.tobytes()
 
 
 def test_run_records_positions():
@@ -690,7 +717,7 @@ def test_run_records_positions():
 def test_non_finite_fitness_never_accepted():
     calls = {"n": 0}
 
-    def unstable(z, rng):
+    def unstable(z):
         calls["n"] += 1
         return np.nan if calls["n"] % 3 == 0 else sphere(z)
 
@@ -700,7 +727,7 @@ def test_non_finite_fitness_never_accepted():
     assert np.all(np.diff(record.trace) <= 0.0)
 
 
-def _non_finite_strips(z, rng):
+def _non_finite_strips(z):
     """NaN, -inf and +inf on three strips of [-1, 1]^2, the sphere elsewhere."""
     if z[0] > 0.5:
         return np.nan
@@ -740,7 +767,7 @@ def _island(z):
 
 
 ISLAND = ObjectiveSpec(id="island", dimension=2, bounds=box(2, -1, 1),
-                       evaluator=deterministic(_island))
+                       evaluator=_island)
 
 
 @pytest.mark.parametrize("mode", core.MODES)
@@ -768,7 +795,7 @@ def test_first_best_iteration():
 PROPERTY_OBJECTIVES = {
     "sphere": sphere_objective(3),
     "rastrigin": ObjectiveSpec(
-        id="rastrigin2", dimension=2, bounds=box(2, -5.12, 5.12), evaluator=deterministic(rastrigin)
+        id="rastrigin2", dimension=2, bounds=box(2, -5.12, 5.12), evaluator=rastrigin
     ),
     "offset-box": sphere_objective(2, 0.125, 2.0),
 }
@@ -815,7 +842,7 @@ def test_ifdo_weight_factors_never_increase(config, name):
 def test_non_finite_values_are_never_accepted(config, bad, threshold):
     """Where the first coordinate exceeds ``threshold`` the objective is non-finite."""
 
-    def poisoned(z, rng):
+    def poisoned(z):
         return bad if z[0] > threshold else sphere(z)
 
     objective = ObjectiveSpec(id="poisoned", dimension=2, bounds=box(2, -1, 1), evaluator=poisoned)
@@ -899,7 +926,7 @@ def test_run_many_adds_no_neighborhood_term_without_neighbors(other_run_neighbor
     of the batch has a neighbor, and each run's empty neighbor sum is 0.0."""
     seen = []
 
-    def recorder(z, rng):
+    def recorder(z):
         seen.append(z.tobytes())
         return _lifted_sphere(z)
 
@@ -914,7 +941,7 @@ def test_run_many_adds_no_neighborhood_term_without_neighbors(other_run_neighbor
     assert seen[0] == alone[0]
 
 
-def _poisoned(z, rng):
+def _poisoned(z):
     return np.nan if z[0] > 0.5 else sphere(z)
 
 
@@ -993,16 +1020,16 @@ def test_run_many_keeps_reused_neighborhood_terms_read_only(monkeypatch):
         run_many(RunConfig(population=4, iterations=2, mode=IFDO), (1, 2), sphere_objective(2))
 
 
-def _kernel_spy(spec, calls, wrap=deterministic):
-    """``spec`` with its evaluator counting its calls in ``calls``, built by
-    ``wrap`` from a kernel (``deterministic``) or as a raw (z, rng) evaluator."""
+def _kernel_spy(spec, calls, noisy=False):
+    """``spec`` with its evaluator counting its calls in ``calls``; with
+    ``noisy`` the spec becomes noisy, so its evaluator takes (z, rng)."""
     evaluator = spec.evaluator
 
     def counted(z, rng=None):
         calls.append(1)
-        return evaluator(z, rng)
+        return evaluator(z, rng) if spec.noisy else evaluator(z)
 
-    return replace(spec, evaluator=wrap(counted))
+    return replace(spec, evaluator=counted, noisy=spec.noisy or noisy)
 
 
 @pytest.mark.parametrize("fid, mode", [("ANTENNA", FDO), ("EVAC", FDO), ("EVAC", IFDO)])
@@ -1022,14 +1049,14 @@ def test_run_many_evaluates_a_repeated_candidate_of_a_deterministic_kernel_once(
 
 @pytest.mark.parametrize("fid", ["TF7", "ANTENNA"])
 def test_run_many_calls_a_raw_evaluator_once_per_candidate(fid):
-    """Noisy TF7 draws on every call, and a raw (z, rng) evaluator may keep
-    state: neither is memoized, even where candidates repeat (ANTENNA)."""
+    """A noisy evaluator draws on every call (TF7) and may keep state, so it
+    is not memoized, even where candidates repeat (ANTENNA made noisy)."""
     objective = next(spec for spec in all_objectives() if spec.id == fid)
     config = RunConfig(population=10, iterations=30, mode=FDO)
     seeds = (3, 4)
     in_lockstep, candidates = [], []
-    records = run_many(config, seeds, _kernel_spy(objective, in_lockstep, wrap=lambda f: f))
-    alone = _kernel_spy(objective, candidates, wrap=lambda f: f)
+    records = run_many(config, seeds, _kernel_spy(objective, in_lockstep, noisy=True))
+    alone = _kernel_spy(objective, candidates, noisy=True)
     for seed, record in zip(seeds, records):
         assert _same_record(record, run(replace(config, seed=seed), alone))
     assert len(in_lockstep) == len(candidates)

@@ -17,13 +17,13 @@ from fdopt.harness import (
     format_comparison,
     run_experiment,
 )
-from fdopt.objective import ObjectiveSpec, box, deterministic
+from fdopt.objective import ObjectiveSpec, box
 from fdopt.classical import sphere
 
 
 def sphere_objective(dim=2):
     return ObjectiveSpec(
-        id="SPH", dimension=dim, bounds=box(dim, -1, 1), evaluator=deterministic(sphere)
+        id="SPH", dimension=dim, bounds=box(dim, -1, 1), evaluator=sphere
     )
 
 
@@ -329,7 +329,7 @@ def test_summary_csv_quotes_the_objective_id(tmp_path):
     """The id is the one free-text field of an export; ``csv.writer`` quotes it."""
     name = 'S,"P"'
     objective = ObjectiveSpec(
-        id=name, dimension=2, bounds=box(2, -1, 1), evaluator=deterministic(sphere)
+        id=name, dimension=2, bounds=box(2, -1, 1), evaluator=sphere
     )
     result = run_experiment(
         small_config(objective_id=name, runs=1, population=4, iterations=3), objective
@@ -394,7 +394,7 @@ def test_compare_needs_two():
 def test_compare_groups_by_objective():
     sph = sphere_objective()
     other = ObjectiveSpec(
-        id="SPH3", dimension=3, bounds=box(3, -1, 1), evaluator=deterministic(sphere)
+        id="SPH3", dimension=3, bounds=box(3, -1, 1), evaluator=sphere
     )
     rows = compare(
         [
@@ -410,7 +410,7 @@ def test_compare_groups_by_objective():
 def test_compare_keeps_first_seen_objective_order():
     sph = sphere_objective()
     other = ObjectiveSpec(
-        id="SPH3", dimension=3, bounds=box(3, -1, 1), evaluator=deterministic(sphere)
+        id="SPH3", dimension=3, bounds=box(3, -1, 1), evaluator=sphere
     )
     interleaved = [
         run_experiment(small_config(mode=FDO), sph),

@@ -1,5 +1,6 @@
 """Tests for the classical benchmark suite, with independent scalar oracles."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from fdopt import classical
 from fdopt.applications import is_feasible
-from fdopt.objective import ObjectiveSpec, box, deterministic, over_last_axis
+from fdopt.objective import ObjectiveSpec, box, over_last_axis
 from fdopt.registry import all_objectives, get_objective
 from fdopt.classical import (
     COMPOSITE_SCALE,
@@ -136,7 +137,7 @@ def test_antenna_returns_a_python_float_on_both_branches(layout, feasible):
 
 @pytest.mark.parametrize("value", [np.float32(1.5), np.float64(1.5), 3], ids=["f32", "f64", "int"])
 def test_evaluate_converts_a_user_evaluator_value(value):
-    spec = ObjectiveSpec("USER", 2, box(2, -1.0, 1.0), evaluator=lambda z, rng: value)
+    spec = ObjectiveSpec("USER", 2, box(2, -1.0, 1.0), evaluator=lambda z: value)
     result = spec.evaluate(np.zeros(2))
     assert type(result) is float and result == value
 
@@ -148,7 +149,7 @@ def test_dimension_mismatch_rejected():
 
 def test_bounds_of_another_dimension_rejected():
     with pytest.raises(ValueError, match="bounds dimension"):
-        ObjectiveSpec("x", 3, box(2, -1, 1), deterministic(classical.sphere))
+        ObjectiveSpec("x", 3, box(2, -1, 1), classical.sphere)
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 3), (3, 1)], ids=["2", "1x3", "3x1"])
@@ -156,7 +157,29 @@ def test_shift_of_another_length_rejected(shape):
     """A (1, 3) or (3, 1) shift has three entries but would broadcast x - shift
     into a matrix and evaluate another function."""
     with pytest.raises(ValueError, match="shift length"):
-        ObjectiveSpec("x", 3, box(3, -1, 1), deterministic(classical.sphere), shift=np.zeros(shape))
+        ObjectiveSpec("x", 3, box(3, -1, 1), classical.sphere, shift=np.zeros(shape))
+
+
+@pytest.mark.parametrize("noisy", ["yes", None, 2])
+def test_noisy_that_is_not_a_bool_rejected(noisy):
+    with pytest.raises(ValueError, match="noisy must be one of"):
+        ObjectiveSpec("x", 2, box(2, -1, 1), classical.sphere, noisy=noisy)
+
+
+@pytest.mark.parametrize("spec", all_objectives(), ids=lambda spec: spec.id)
+def test_only_a_noisy_evaluator_takes_a_generator(spec):
+    """TF7 alone draws noise; every other evaluator is a function of z alone."""
+    parameters = inspect.signature(spec.evaluator).parameters.values()
+    required = [p for p in parameters if p.default is inspect.Parameter.empty]
+    assert spec.noisy == (spec.id == "TF7")
+    assert len(required) == (2 if spec.noisy else 1)
+
+
+def test_specs_compare_by_identity_and_bounds_by_value():
+    spec = get_objective("TF1")
+    copy = replace(spec)
+    assert spec == spec and spec != copy
+    assert spec.bounds == copy.bounds
 
 
 def test_weierstrass_zero_at_origin():
@@ -344,7 +367,7 @@ def test_tf7_draws_each_row_noise_from_its_own_generator():
 def test_sphere_and_rastrigin_evaluate_a_batch_in_one_call(fid, kernel):
     """A spy shows the marked kernel called once per ``evaluate_many`` batch and
     the same kernel, unmarked, once per row; both give ``evaluate``'s bits."""
-    assert SPECS[fid].evaluator.over_last_axis and not SPECS["TF2"].evaluator.over_last_axis
+    assert SPECS[fid].evaluator.over_last_axis and not hasattr(SPECS["TF2"].evaluator, "over_last_axis")
     spec = SPECS[fid]
     X = np.random.default_rng(13).uniform(spec.bounds.lower, spec.bounds.upper, size=(4, 10))
     expected = [spec.evaluate(x) for x in X]
@@ -355,7 +378,7 @@ def test_sphere_and_rastrigin_evaluate_a_batch_in_one_call(fid, kernel):
             shapes.append(z.shape)
             return kernel(z)
 
-        spied = replace(spec, evaluator=deterministic(over_last_axis(spy) if marked else spy))
+        spied = replace(spec, evaluator=over_last_axis(spy) if marked else spy)
         assert spied.evaluate_many(X, [None] * len(X)) == expected
         assert len(shapes) == calls
 
@@ -367,7 +390,7 @@ def _signed_spec(calls):
         calls.append(z.tobytes())
         return math.copysign(1.0, z[0]) + z[1]
 
-    return ObjectiveSpec("signed", 2, box(2, -1, 1), deterministic(signed))
+    return ObjectiveSpec("signed", 2, box(2, -1, 1), signed)
 
 
 def test_evaluate_many_with_a_memo_evaluates_each_distinct_row_once():
@@ -427,15 +450,15 @@ def test_evaluate_many_ignores_the_memo_of_noisy_and_batched_evaluators(fid):
 
 
 def test_evaluate_many_ignores_the_memo_of_a_raw_evaluator():
-    """An evaluator not built by ``deterministic`` may keep state: it is
-    called once per row, repeated or not."""
+    """A noisy evaluator draws and may keep state: it is called once per
+    row, repeated or not."""
     calls = []
 
     def stateful(z, rng):
         calls.append(z.tobytes())
         return float(len(calls))
 
-    spec = ObjectiveSpec("stateful", 2, box(2, -1, 1), stateful)
+    spec = ObjectiveSpec("stateful", 2, box(2, -1, 1), stateful, noisy=True)
     memo = ({}, {})
     assert spec.evaluate_many(np.zeros((3, 2)), [None] * 3, memo) == [1.0, 2.0, 3.0]
     assert len(calls) == 3 and memo == ({}, {})
