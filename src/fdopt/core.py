@@ -360,7 +360,7 @@ def step(swarm, objective):
 
 
 def _accept(swarm, i, candidate, pace, value):
-    """The accept rule of ``step`` and ``_Lockstep._try``, which pass only a
+    """The accept rule of ``step`` and ``_Lockstep._take``, which pass only a
     finite ``value`` below scout ``i``'s fitness: the scout takes
     ``candidate``, its ``pace`` and ``value``, IFDO shrinks its weight factor
     (every scout's in swarm scope), and the global best is refreshed in place.
@@ -392,10 +392,13 @@ class _Lockstep:
     blocks, and whose fitness and weight factors become lists of the
     Python floats ``step`` computes with.  Scout i of every run moves in
     one ``scout`` call, and the scouts of a run move in order, as in
-    ``step``.  Each run draws from its own generator in ``step``'s order:
-    ``r``, the random walk's heavy-tailed draws, then per try the bound
-    repair, the noise and, on an accept, the weight-factor draw.  Only the
-    arithmetic across runs is batched; an accept is ``_accept``.
+    ``step``.  Each run draws from its own generator (``rngs[k]``) in
+    ``step``'s order: ``r``, the random walk's heavy-tailed draws, the
+    first try's bound repair and noise, then either the accept's
+    weight-factor draw or the second try's repair, noise and accept draw.
+    Only the arithmetic across runs is batched; an accept is ``_accept``.
+    ``scout`` proposes both tries of every run at once, and a ``batched``
+    objective evaluates them in one call when no second try needs a repair.
 
     ``accepts`` counts the accepts of all runs.  A scout's IFDO
     ``proposal_terms`` are kept, read-only, with the count they were
@@ -423,13 +426,15 @@ class _Lockstep:
             s.positions, s.paces, s.global_best_position = x, v, best
             # a list read takes a quarter of the time of float(array[i])
             s.fitness, s.weight_factors = s.fitness.tolist(), s.weight_factors.tolist()
-        # one bounds row per run: comparing equal shapes skips numpy's broadcasting
-        bounds = objective.bounds
-        self.lower, self.upper = (np.tile(b, (len(swarms), 1)) for b in (bounds.lower, bounds.upper))
+        # one bounds row per try of each run: comparing equal shapes skips
+        # numpy's broadcasting
+        bounds, rows = objective.bounds, (2 * len(swarms), 1)
+        self.lower, self.upper = (np.tile(b, rows) for b in (bounds.lower, bounds.upper))
         self.nl = neighbor_landscape(bounds) if swarms[0].mode == IFDO else None
         # per scout: the accept count its proposal terms were computed at, and the terms
         self.accepts, self.terms = 0, [(-1, None)] * swarms[0].population
         self.memo = ({}, {})
+        self.rngs, self.batched = [s.rng for s in swarms], objective.batched
 
     def proposal_terms(self, i):
         """What ``propose_position`` adds to position + pace for scout ``i``
@@ -471,8 +476,26 @@ class _Lockstep:
         return extra
 
     def scout(self, i):
-        """Move scout ``i`` of every run: ``step``'s loop body, batched over runs."""
-        swarms, best_positions = self.swarms, self.best_positions
+        """Move scout ``i`` of every run: ``step``'s loop body, batched over runs.
+
+        Both tries are proposed at once, in one (2R, d) block: row k is run
+        k's first try, position + fresh pace, and row R + k its second,
+        position + saved pace, each plus the same IFDO terms.  One bounds
+        test covers the block, and the first-try rows are repaired.  A
+        ``batched`` objective (``ObjectiveSpec.batched``) gets the whole
+        block in one ``evaluate_many`` call, unless some second-try row
+        crossed the box: its repair draws, and only a run that rejected its
+        first try may draw it.  Any other objective, or a block with such a
+        row, is evaluated in two calls: the first tries, then the repaired
+        second tries of the runs that rejected theirs.  Either way each run
+        draws in ``step``'s order: ``r``, the walk, the first repair, the
+        noise, then the accept draw, or the second repair, the noise and the
+        accept draw.  A batched kernel draws nothing and keeps no state
+        (``objective.over_last_axis``), so the second tries it evaluates for
+        runs that accepted their first change nothing.
+        """
+        swarms, best_positions, objective = self.swarms, self.best_positions, self.objective
+        runs = len(swarms)
         if i == 0:
             self.memo = ({}, self.memo[0])
         here = self.positions[:, i]
@@ -484,45 +507,58 @@ class _Lockstep:
             signed.append(-fw if r < 0.0 else fw)
             if _walks(fw):
                 walks.append((k, compute_pace(here[k], best_positions[k], fw, r, s.rng)))
+        # run k's fresh pace in row k, its saved pace in row R + k
         fresh = (here - best_positions) * np.array(signed)[:, None]
+        paces = np.concatenate((fresh, self.paces[:, i]))
         for k, pace in walks:
-            fresh[k] = pace
+            paces[k] = pace
         seen, extra = self.terms[i]
         if self.nl is not None and seen != self.accepts:
             extra = self.proposal_terms(i)
             extra.flags.writeable = False
             self.terms[i] = self.accepts, extra
-        rejected = self._try(i, range(len(swarms)), here + fresh, fresh, extra)
-        if rejected:
-            # basic indexing while every run is left, which is the common case
-            rows = slice(None) if len(rejected) == len(swarms) else rejected
-            saved = self.paces[rows, i]
-            extra = None if extra is None else extra[rows]
-            self._try(i, rejected, here[rows] + saved, saved, extra)
-
-    def _try(self, i, runs, candidates, paces, extra):
-        """One try of scout ``i`` in ``runs``: propose, repair, evaluate, accept.
-
-        ``candidates`` holds position + pace, to which the IFDO ``extra``
-        is added.  Returns the runs that rejected their candidate.
-        """
+        candidates = here + paces.reshape(2, runs, -1)
         if extra is not None:
             candidates += extra
-        bounds, swarms, n = self.objective.bounds, self.swarms, len(candidates)
-        above = candidates > self.upper[:n]
-        crossed = above | (candidates < self.lower[:n])
-        for j, out in enumerate(crossed.any(axis=1).tolist()):
-            if out:
-                _repair(candidates[j], crossed[j], above[j], bounds, swarms[runs[j]].rng)
-        values = self.objective.evaluate_many(
-            candidates, [swarms[k].rng for k in runs], self.memo
-        )
+        candidates = candidates.reshape(paces.shape)
+        bounds, rngs = objective.bounds, self.rngs
+        above = candidates > self.upper
+        crossed = above | (candidates < self.lower)
+        out = crossed.any(axis=1).tolist()
+        for k in range(runs):
+            if out[k]:
+                _repair(candidates[k], crossed[k], above[k], bounds, rngs[k])
+        fused = self.batched and True not in out[runs:]
+        if fused:
+            values = objective.evaluate_many(candidates, rngs * 2)
+        else:
+            values = objective.evaluate_many(candidates[:runs], rngs, self.memo)
+        rejected = self._take(i, range(runs), 0, candidates, paces, values)
+        if not rejected:
+            return
+        if fused:
+            values = [values[runs + k] for k in rejected]
+        else:
+            for k in rejected:
+                row = runs + k
+                if out[row]:
+                    _repair(candidates[row], crossed[row], above[row], bounds, rngs[k])
+            # basic indexing while every run is left, which is the common case
+            rows = slice(runs, None) if len(rejected) == runs else [runs + k for k in rejected]
+            values = objective.evaluate_many(
+                candidates[rows], [rngs[k] for k in rejected], self.memo
+            )
+        self._take(i, rejected, runs, candidates, paces, values)
+
+    def _take(self, i, tried, offset, candidates, paces, values):
+        """The accept rule for scout ``i`` of each run k in ``tried``, whose
+        try is row ``offset`` + k of ``candidates`` and ``paces``, with the
+        values in the order of ``tried``.  Returns the runs that rejected."""
         rejected = []
-        for j, k in enumerate(runs):
-            s = swarms[k]
-            value = values[j]
+        for k, value in zip(tried, values):
+            s = self.swarms[k]
             if isfinite(value) and value < s.fitness[i]:
-                _accept(s, i, candidates[j], paces[j], value)
+                _accept(s, i, candidates[offset + k], paces[offset + k], value)
                 self.accepts += 1
             else:
                 rejected.append(k)

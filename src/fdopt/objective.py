@@ -43,6 +43,12 @@ class ObjectiveSpec:
             raise ValueError(f"{self.id}: bounds dimension != dimension")
         _require_choice("noisy", self.noisy, (False, True))
 
+    @property
+    def batched(self):
+        """Whether ``evaluate_many`` evaluates a batch in one call: the
+        evaluator is marked by ``over_last_axis`` and the spec is not noisy."""
+        return not self.noisy and getattr(self.evaluator, "over_last_axis", False)
+
     def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
@@ -57,7 +63,7 @@ class ObjectiveSpec:
 
         ``rngs`` holds one generator (or None) per row.  A noisy evaluator
         evaluates row by row in row order, row k drawing from ``rngs[k]``;
-        one marked by ``over_last_axis`` evaluates all rows in one call.
+        a ``batched`` spec evaluates all rows in one call.
         Either way each value has the bits ``evaluate`` gives for its row.
 
         Any other evaluator, neither noisy nor batched, has a value that is
@@ -75,10 +81,10 @@ class ObjectiveSpec:
             )
         Z = X - self.shift
         evaluator = self.evaluator
+        if self.batched:
+            return evaluator(Z).tolist()
         if self.noisy:
             return [float(evaluator(z, rng)) for z, rng in zip(Z, rngs)]
-        if getattr(evaluator, "over_last_axis", False):
-            return evaluator(Z).tolist()
         this, last = ({}, {}) if memo is None else memo
         values = []
         for z in Z:
@@ -93,7 +99,15 @@ class ObjectiveSpec:
 
 def over_last_axis(kernel):
     """Mark ``kernel`` as written over the last axis: it maps one vector to
-    its value and an (n, d) batch to its n values, with the same bits per row."""
+    its value and an (n, d) batch to its n values.
+
+    The mark is a contract that lets a caller evaluate rows no run needs.
+    The kernel draws nothing and keeps no state, and a row's bits do not
+    depend on the batch: its size, its other rows or its order.  So the
+    lockstep engine may pass it a candidate that no run takes, such as the
+    second try of a run that accepted its first, and every run keeps its
+    bits and its draws.
+    """
     kernel.over_last_axis = True
     return kernel
 

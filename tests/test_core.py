@@ -1006,18 +1006,75 @@ def test_run_many_reuses_neighborhood_terms_while_no_run_accepts(monkeypatch):
         assert _same_record(record, run(replace(config, seed=seed), objective))
 
 
-def test_run_many_keeps_reused_neighborhood_terms_read_only(monkeypatch):
-    """A try that wrote into its terms would change them for the scout's
-    next move; the kept terms refuse the write."""
-    try_ = core._Lockstep._try
-
-    def writing(self, i, runs, candidates, paces, extra):
-        extra += 0.0
-        return try_(self, i, runs, candidates, paces, extra)
-
-    monkeypatch.setattr(core._Lockstep, "_try", writing)
+def test_run_many_keeps_reused_neighborhood_terms_read_only():
+    """A scout that wrote into its kept terms would change them for its next
+    move; the kept terms refuse the write."""
+    objective = sphere_objective(2)
+    config = RunConfig(population=4, mode=IFDO)
+    batch = core._Lockstep([init_population(replace(config, seed=s), objective)
+                            for s in (1, 2)], objective)
+    batch.scout(0)
+    seen, extra = batch.terms[0]
+    assert seen == 0 and extra.shape == (2, 2)
     with pytest.raises(ValueError, match="read-only"):
-        run_many(RunConfig(population=4, iterations=2, mode=IFDO), (1, 2), sphere_objective(2))
+        extra += 0.0
+
+
+def _evaluations_per_scout(objective, config, seeds, monkeypatch):
+    """Check ``run_many`` against ``run`` bit for bit, and return per scout
+    call whether some run's second try (position + saved pace, plus the
+    IFDO terms) crosses the box, with the row count of each
+    ``evaluate_many`` call the scout call made."""
+    log, objective = [], replace(objective)
+    evaluate_many, scout = objective.evaluate_many, core._Lockstep.scout
+
+    def counted(X, rngs, memo=None):
+        log[-1][1].append(len(X))
+        return evaluate_many(X, rngs, memo)
+
+    def logged(self, i):
+        second = self.positions[:, i] + self.paces[:, i]
+        if self.nl is not None:
+            second += self.proposal_terms(i)
+        lower, upper = objective.bounds.lower, objective.bounds.upper
+        log.append((bool(((second < lower) | (second > upper)).any()), []))
+        return scout(self, i)
+
+    objective.evaluate_many = counted
+    monkeypatch.setattr(core._Lockstep, "scout", logged)
+    records = run_many(config, seeds, objective)
+    monkeypatch.undo()
+    for seed, record in zip(seeds, records):
+        assert _same_record(record, run(replace(config, seed=seed), objective))
+    return log
+
+
+@pytest.mark.parametrize("mode", core.MODES)
+def test_run_many_gives_a_batched_kernel_both_tries_in_one_call(mode, monkeypatch):
+    """TF1's sphere is written over the last axis: while no second try
+    crosses the box, both tries of every run go to one call."""
+    objective = next(spec for spec in all_objectives() if spec.id == "TF1")
+    config = RunConfig(population=10, iterations=30, mode=mode, record_positions=True)
+    seeds = (3, 4, 5, 6)
+    log = _evaluations_per_scout(objective, config, seeds, monkeypatch)
+    inside = [rows for crosses, rows in log if not crosses]
+    assert len(inside) > len(log) // 2
+    assert all(rows == [2 * len(seeds)] for rows in inside)
+
+
+@pytest.mark.parametrize("mode", core.MODES)
+def test_run_many_repairs_crossing_second_tries_after_the_first(mode, monkeypatch):
+    """The sphere's minimum lies outside the box [0.5, 1]^2, so saved paces
+    overshoot: where a second try crosses, its repair draws only for a run
+    that rejected its first try, so the first tries go to a call of their own."""
+    objective = sphere_objective(2, low=0.5, high=1.0)
+    config = RunConfig(population=6, iterations=20, mode=mode, record_positions=True)
+    seeds = (3, 4, 5)
+    log = _evaluations_per_scout(objective, config, seeds, monkeypatch)
+    crossing = [rows for crosses, rows in log if crosses]
+    assert len(crossing) > len(log) // 2
+    assert all(rows[0] == len(seeds) and len(rows) <= 2 for rows in crossing)
+    assert any(len(rows) == 2 for rows in crossing)
 
 
 def _kernel_spy(spec, calls, noisy=False):
