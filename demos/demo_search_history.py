@@ -16,12 +16,7 @@ from fdopt.classical import rastrigin
 
 # an objective that draws no noise is a plain function of the shifted
 # position, z -> real scalar; a noisy one would take (z, rng) and set noisy=True
-objective = ObjectiveSpec(
-    id="rastrigin2",
-    dimension=2,
-    bounds=box(2, -5.12, 5.12),
-    evaluator=rastrigin,
-)
+objective = ObjectiveSpec(id="rastrigin2", bounds=box(2, -5.12, 5.12), evaluator=rastrigin)
 config = ExperimentConfig(
     objective_id="rastrigin2",
     mode=IFDO,

@@ -116,7 +116,6 @@ def antenna_fitness(candidate):
 def antenna_objective():
     return ObjectiveSpec(
         id="ANTENNA",
-        dimension=4,
         bounds=box(4, MIN_POSITION, MAX_POSITION),
         evaluator=antenna_fitness,
     )
@@ -230,7 +229,6 @@ def evac_fitness(exit_parameter, scenario):
 def evac_objective(scenario):
     return ObjectiveSpec(
         id="EVAC",
-        dimension=1,
         bounds=box(1, 0.0, scenario.perimeter),
         evaluator=lambda z: evac_fitness(z[0], scenario),
     )

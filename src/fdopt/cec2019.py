@@ -113,7 +113,6 @@ def cec_catalog():
         specs.append(
             ObjectiveSpec(
                 id=fid,
-                dimension=dim,
                 bounds=box(dim, low, high),
                 evaluator=kernel,
                 known_fmin=fmin,

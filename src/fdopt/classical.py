@@ -221,7 +221,6 @@ def _spec(fid, kernel, low, high, shift, optimum_offset=0.0, noisy=False, **kw):
     kw.setdefault("known_fmin", 0.0)
     return ObjectiveSpec(
         id=fid,
-        dimension=DIM,
         bounds=box(DIM, low, high),
         evaluator=kernel,
         shift=shift,

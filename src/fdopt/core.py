@@ -76,9 +76,8 @@ class Bounds:
 
 @dataclass
 class NeighborhoodContext:
-    """Alignment/cohesion of a scout's neighborhood within radius ``nl``."""
+    """Alignment/cohesion of a scout's neighborhood, from ``neighborhood``."""
 
-    nl: float
     neighbor_count: int
     alignment: np.ndarray
     cohesion: np.ndarray
@@ -147,7 +146,7 @@ class SwarmState:
 
 @dataclass
 class RunRecord:
-    """Trace of a single run.
+    """Trace of a single run; ``best_fitness`` is the trace's last entry.
 
     ``wall_time_s`` is the run's share of the wall time of the run loop
     that made it: all of it for ``run``, the batch's wall time divided by
@@ -156,9 +155,12 @@ class RunRecord:
 
     trace: np.ndarray  # per-iteration global best, shape (iterations,)
     best_position: np.ndarray
-    best_fitness: float
     wall_time_s: float
     positions: np.ndarray | None = None  # (iterations, p, d) when recorded
+
+    @property
+    def best_fitness(self):
+        return float(self.trace[-1])
 
 
 def levy_raw(rng, size):
@@ -228,18 +230,18 @@ def neighborhood(scout_index, swarm, nl):
     count = int(np.count_nonzero(mask))
     if count == 0:
         zero = np.zeros_like(own)
-        return NeighborhoodContext(nl, 0, zero, zero.copy())
+        return NeighborhoodContext(0, zero, zero.copy())
     # sum / count is exactly what .mean(axis=0) computes, minus its overhead
     alignment = swarm.paces[mask].sum(axis=0) / count
     cohesion = swarm.positions[mask].sum(axis=0) / count - own
-    return NeighborhoodContext(nl, count, alignment, cohesion)
+    return NeighborhoodContext(count, alignment, cohesion)
 
 
-def propose_position(position, pace, ctx, mode):
-    """Candidate position: add pace, plus alignment/cohesion in IFDO mode."""
+def propose_position(position, pace, ctx):
+    """Candidate position: add pace, plus the alignment/cohesion of ``ctx`` (None in FDO)."""
     position = np.asarray(position, dtype=float)
     candidate = position + pace
-    if mode == IFDO and ctx is not None and ctx.neighbor_count > 0:
+    if ctx is not None and ctx.neighbor_count > 0:
         safe = np.abs(ctx.cohesion) >= COHESION_TOL
         extra = np.zeros_like(candidate)
         np.divide(ctx.alignment, ctx.cohesion, out=extra, where=safe)
@@ -349,9 +351,7 @@ def step(swarm, objective):
         fresh = compute_pace(swarm.positions[i], swarm.global_best_position, fw, r, rng)
         # first try with the fresh pace, second chance with the saved one
         for pace in (fresh, swarm.paces[i]):
-            candidate = enforce_bounds(
-                propose_position(swarm.positions[i], pace, ctx, swarm.mode), bounds, rng
-            )
+            candidate = enforce_bounds(propose_position(swarm.positions[i], pace, ctx), bounds, rng)
             value = objective.evaluate(candidate, rng)
             if isfinite(value) and value < current_fitness:
                 _accept(swarm, i, candidate, pace, value)
@@ -605,7 +605,6 @@ def _drive(config, seeds, objective, lockstep):
         RunRecord(
             trace=trace[k],
             best_position=s.global_best_position.copy(),
-            best_fitness=float(s.global_best_fitness),
             wall_time_s=share,
             positions=None if history is None else history[k],
         )

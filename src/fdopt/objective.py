@@ -11,6 +11,7 @@ from .core import Bounds, _require_choice
 class ObjectiveSpec:
     """A benchmark or application objective.
 
+    ``dimension`` is ``bounds.dimension``, set once when the spec is built.
     ``noisy`` decides how the evaluator is called.  A spec that is not
     noisy holds a plain ``z -> real scalar`` evaluator whose value depends
     on the bits of z alone; a noisy one holds ``(z, rng) -> real scalar``
@@ -23,7 +24,6 @@ class ObjectiveSpec:
     """
 
     id: str
-    dimension: int
     bounds: Bounds
     evaluator: object  # callable on shifted coordinates: z, or (z, rng) when noisy
     shift: np.ndarray = None
@@ -34,13 +34,14 @@ class ObjectiveSpec:
     notes: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.bounds, Bounds):
+            raise ValueError(f"{self.id}: bounds must be a Bounds, got {self.bounds!r}")
+        self.dimension = self.bounds.dimension
         if self.shift is None:
             self.shift = np.zeros(self.dimension)
         self.shift = np.asarray(self.shift, dtype=float)
         if self.shift.shape != (self.dimension,):
             raise ValueError(f"{self.id}: shift length != dimension or shift is not a vector")
-        if self.bounds.dimension != self.dimension:
-            raise ValueError(f"{self.id}: bounds dimension != dimension")
         _require_choice("noisy", self.noisy, (False, True))
 
     @property

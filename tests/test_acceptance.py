@@ -208,8 +208,8 @@ def test_criterion_6_equation_unit_suite():
     checks.append(np.allclose(ctx.cohesion, [0.0, 0.0], atol=1e-12))
     from fdopt.core import NeighborhoodContext
 
-    ctx = NeighborhoodContext(1.0, 1, np.array([2.0]), np.array([4.0]))
-    checks.append(np.allclose(propose_position([0.0], np.array([1.0]), ctx, IFDO), [1.5], atol=1e-12))
+    ctx = NeighborhoodContext(1, np.array([2.0]), np.array([4.0]))
+    checks.append(np.allclose(propose_position([0.0], np.array([1.0]), ctx), [1.5], atol=1e-12))
     # array factor and evacuation arithmetic (composed expressions at 1e-9)
     checks.append(close(apps.array_factor(90.0, [0.25, 0.75, 1.25, 1.75]), 5.0, 1e-9))
     checks.append(close(apps.evac_time(5.0, 1.2, "paper"), 3.0))
@@ -262,7 +262,6 @@ def test_criterion_8_small_instance_global_search():
     for dim in (1, 2):
         spec = ObjectiveSpec(
             id=f"sphere{dim}",
-            dimension=dim,
             bounds=box(dim, -1.0, 1.0),
             evaluator=sphere,
         )

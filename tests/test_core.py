@@ -34,12 +34,7 @@ from fdopt.registry import all_objectives
 
 
 def sphere_objective(dim, low=-1.0, high=1.0):
-    return ObjectiveSpec(
-        id=f"sphere{dim}",
-        dimension=dim,
-        bounds=box(dim, low, high),
-        evaluator=sphere,
-    )
+    return ObjectiveSpec(id=f"sphere{dim}", bounds=box(dim, low, high), evaluator=sphere)
 
 
 class FixedUniformRng:
@@ -288,25 +283,25 @@ def test_neighborhood_symmetric_and_excludes_self(p, d, nl, seed):
 def test_propose_no_neighbors_degenerates():
     swarm = make_swarm([[1.0, 1.0]], [[0.0, 0.0]])
     ctx = neighborhood(0, swarm, 1.0)
-    out = propose_position([1.0, 1.0], np.array([0.5, -0.5]), ctx, IFDO)
+    out = propose_position([1.0, 1.0], np.array([0.5, -0.5]), ctx)
     np.testing.assert_allclose(out, [1.5, 0.5], atol=1e-12)
 
 
 def test_propose_alignment_over_cohesion():
-    ctx = core.NeighborhoodContext(1.0, 1, np.array([2.0]), np.array([4.0]))
-    out = propose_position([0.0], np.array([1.0]), ctx, IFDO)
+    ctx = core.NeighborhoodContext(1, np.array([2.0]), np.array([4.0]))
+    out = propose_position([0.0], np.array([1.0]), ctx)
     np.testing.assert_allclose(out, [1.5], atol=1e-12)
 
 
 def test_propose_zero_cohesion_guard():
-    ctx = core.NeighborhoodContext(1.0, 1, np.array([2.0]), np.array([0.0]))
-    out = propose_position([0.0], np.array([1.0]), ctx, IFDO)
+    ctx = core.NeighborhoodContext(1, np.array([2.0]), np.array([0.0]))
+    out = propose_position([0.0], np.array([1.0]), ctx)
     np.testing.assert_allclose(out, [1.0], atol=1e-12)
 
 
 def test_propose_fdo_ignores_context():
-    ctx = core.NeighborhoodContext(1.0, 1, np.array([2.0]), np.array([4.0]))
-    out = propose_position([0.0], np.array([1.0]), ctx, FDO)
+    """FDO passes no context, and the candidate is position + pace."""
+    out = propose_position([0.0], np.array([1.0]), None)
     np.testing.assert_allclose(out, [1.0], atol=1e-12)
 
 
@@ -470,8 +465,7 @@ def test_step_keeps_weight_factor_of_a_scout_rejected_twice():
     """
     shift = np.array([0.5, -0.25])
     objective = ObjectiveSpec(
-        id="shifted", dimension=2, bounds=box(2, -1, 1), evaluator=sphere,
-        shift=shift,
+        id="shifted", bounds=box(2, -1, 1), evaluator=sphere, shift=shift,
     )
     swarm = init_population(RunConfig(population=6, mode=IFDO, seed=5), objective)
     swarm.positions[0] = shift
@@ -674,13 +668,14 @@ def test_run_trace_contract():
     assert record.best_fitness == record.trace[-1]
 
 
+def test_run_record_reads_its_best_value_from_its_trace():
+    record = core.RunRecord(trace=np.array([3.0, 1.0]), best_position=np.zeros(2), wall_time_s=0.0)
+    assert record.best_fitness == 1.0 and type(record.best_fitness) is float
+    assert "best_fitness" not in {f.name for f in fields(core.RunRecord)}
+
+
 def test_run_is_reproducible():
-    objective = ObjectiveSpec(
-        id="rastrigin2",
-        dimension=2,
-        bounds=box(2, -5.12, 5.12),
-        evaluator=rastrigin,
-    )
+    objective = ObjectiveSpec(id="rastrigin2", bounds=box(2, -5.12, 5.12), evaluator=rastrigin)
     a = run(RunConfig(population=12, iterations=40, seed=123), objective)
     b = run(RunConfig(population=12, iterations=40, seed=123), objective)
     np.testing.assert_array_equal(a.trace, b.trace)
@@ -692,7 +687,7 @@ def test_a_plain_function_evaluator_gives_the_bits_of_run():
     """A spec that is not noisy holds a plain z -> real scalar function:
     ``evaluate``, ``evaluate_many`` and ``run_many`` give ``run``'s bits."""
     objective = ObjectiveSpec(
-        id="plain", dimension=2, bounds=box(2, -1, 1), shift=[0.25, -0.5],
+        id="plain", bounds=box(2, -1, 1), shift=[0.25, -0.5],
         evaluator=lambda z: np.abs(z).sum() + z[0] * z[1],
     )
     config = RunConfig(population=6, iterations=25, mode=IFDO, record_positions=True)
@@ -721,7 +716,7 @@ def test_non_finite_fitness_never_accepted():
         calls["n"] += 1
         return np.nan if calls["n"] % 3 == 0 else sphere(z)
 
-    objective = ObjectiveSpec(id="unstable", dimension=2, bounds=box(2, -1, 1), evaluator=unstable)
+    objective = ObjectiveSpec(id="unstable", bounds=box(2, -1, 1), evaluator=unstable)
     record = run(RunConfig(population=5, iterations=20, seed=6), objective)
     assert np.all(np.isfinite(record.trace))
     assert np.all(np.diff(record.trace) <= 0.0)
@@ -736,9 +731,7 @@ def _non_finite_strips(z):
     return np.inf if z[1] > 0.5 else sphere(z)
 
 
-NON_FINITE_STRIPS = ObjectiveSpec(
-    id="strips", dimension=2, bounds=box(2, -1, 1), evaluator=_non_finite_strips
-)
+NON_FINITE_STRIPS = ObjectiveSpec(id="strips", bounds=box(2, -1, 1), evaluator=_non_finite_strips)
 
 
 def test_init_population_counts_every_non_finite_value_as_inf():
@@ -766,8 +759,7 @@ def _island(z):
     return sphere(z) if np.abs(z).max() < 0.3 else np.nan
 
 
-ISLAND = ObjectiveSpec(id="island", dimension=2, bounds=box(2, -1, 1),
-                       evaluator=_island)
+ISLAND = ObjectiveSpec(id="island", bounds=box(2, -1, 1), evaluator=_island)
 
 
 @pytest.mark.parametrize("mode", core.MODES)
@@ -794,9 +786,7 @@ def test_first_best_iteration():
 
 PROPERTY_OBJECTIVES = {
     "sphere": sphere_objective(3),
-    "rastrigin": ObjectiveSpec(
-        id="rastrigin2", dimension=2, bounds=box(2, -5.12, 5.12), evaluator=rastrigin
-    ),
+    "rastrigin": ObjectiveSpec(id="rastrigin2", bounds=box(2, -5.12, 5.12), evaluator=rastrigin),
     "offset-box": sphere_objective(2, 0.125, 2.0),
 }
 
@@ -845,7 +835,7 @@ def test_non_finite_values_are_never_accepted(config, bad, threshold):
     def poisoned(z):
         return bad if z[0] > threshold else sphere(z)
 
-    objective = ObjectiveSpec(id="poisoned", dimension=2, bounds=box(2, -1, 1), evaluator=poisoned)
+    objective = ObjectiveSpec(id="poisoned", bounds=box(2, -1, 1), evaluator=poisoned)
     swarm = init_population(config, objective)
     for _ in range(config.iterations):
         before = swarm.positions.copy()
@@ -932,7 +922,7 @@ def test_run_many_adds_no_neighborhood_term_without_neighbors(other_run_neighbor
 
     d = len(other_run_neighbor)
     lone = [0.9, -0.9][:d]
-    objective = ObjectiveSpec(id="rec", dimension=d, bounds=box(d, -1, 1), evaluator=recorder)
+    objective = ObjectiveSpec(id="rec", bounds=box(d, -1, 1), evaluator=recorder)
     step(_scout_at_negative_zero(lone), objective)
     alone, seen[:] = list(seen), []
     swarms = [_scout_at_negative_zero(lone), _scout_at_negative_zero(other_run_neighbor)]
@@ -948,7 +938,7 @@ def _poisoned(z):
 LOCKSTEP_OBJECTIVES = {
     **PROPERTY_OBJECTIVES,
     "sphere1": sphere_objective(1),
-    "poisoned": ObjectiveSpec(id="poisoned", dimension=2, bounds=box(2, -1, 1), evaluator=_poisoned),
+    "poisoned": ObjectiveSpec(id="poisoned", bounds=box(2, -1, 1), evaluator=_poisoned),
 }
 
 

@@ -22,9 +22,7 @@ from fdopt.classical import sphere
 
 
 def sphere_objective(dim=2):
-    return ObjectiveSpec(
-        id="SPH", dimension=dim, bounds=box(dim, -1, 1), evaluator=sphere
-    )
+    return ObjectiveSpec(id="SPH", bounds=box(dim, -1, 1), evaluator=sphere)
 
 
 def small_config(runs=3, **kw):
@@ -238,8 +236,7 @@ def _hand_built_result(traces, positions):
     (runs, iterations, agents, dim) positions."""
     records = [
         core.RunRecord(
-            trace=trace, best_position=block[-1, 0], best_fitness=0.0, wall_time_s=0.0,
-            positions=block,
+            trace=trace, best_position=block[-1, 0], wall_time_s=0.0, positions=block,
         )
         for trace, block in zip(traces, positions)
     ]
@@ -328,9 +325,7 @@ def test_search_history_reformats_exactly_the_agents_whose_bits_changed(tmp_path
 def test_summary_csv_quotes_the_objective_id(tmp_path):
     """The id is the one free-text field of an export; ``csv.writer`` quotes it."""
     name = 'S,"P"'
-    objective = ObjectiveSpec(
-        id=name, dimension=2, bounds=box(2, -1, 1), evaluator=sphere
-    )
+    objective = ObjectiveSpec(id=name, bounds=box(2, -1, 1), evaluator=sphere)
     result = run_experiment(
         small_config(objective_id=name, runs=1, population=4, iterations=3), objective
     )
@@ -393,9 +388,7 @@ def test_compare_needs_two():
 
 def test_compare_groups_by_objective():
     sph = sphere_objective()
-    other = ObjectiveSpec(
-        id="SPH3", dimension=3, bounds=box(3, -1, 1), evaluator=sphere
-    )
+    other = ObjectiveSpec(id="SPH3", bounds=box(3, -1, 1), evaluator=sphere)
     rows = compare(
         [
             run_experiment(small_config(mode=FDO), sph),
@@ -409,9 +402,7 @@ def test_compare_groups_by_objective():
 
 def test_compare_keeps_first_seen_objective_order():
     sph = sphere_objective()
-    other = ObjectiveSpec(
-        id="SPH3", dimension=3, bounds=box(3, -1, 1), evaluator=sphere
-    )
+    other = ObjectiveSpec(id="SPH3", bounds=box(3, -1, 1), evaluator=sphere)
     interleaved = [
         run_experiment(small_config(mode=FDO), sph),
         run_experiment(small_config(objective_id="SPH3", mode=FDO), other),

@@ -2,7 +2,7 @@
 
 import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -121,6 +121,7 @@ def test_purity_of_deterministic_evaluators():
 @pytest.mark.parametrize("spec", all_objectives(), ids=lambda spec: spec.id)
 def test_evaluate_returns_a_python_float(spec):
     """Kernels return numpy's scalar; ``evaluate`` is the one conversion."""
+    assert spec.dimension == spec.bounds.dimension == spec.shift.size
     x = np.random.default_rng(5).uniform(spec.bounds.lower, spec.bounds.upper)
     assert type(spec.evaluate(x, np.random.default_rng(0))) is float
 
@@ -137,7 +138,7 @@ def test_antenna_returns_a_python_float_on_both_branches(layout, feasible):
 
 @pytest.mark.parametrize("value", [np.float32(1.5), np.float64(1.5), 3], ids=["f32", "f64", "int"])
 def test_evaluate_converts_a_user_evaluator_value(value):
-    spec = ObjectiveSpec("USER", 2, box(2, -1.0, 1.0), evaluator=lambda z: value)
+    spec = ObjectiveSpec("USER", box(2, -1.0, 1.0), evaluator=lambda z: value)
     result = spec.evaluate(np.zeros(2))
     assert type(result) is float and result == value
 
@@ -147,9 +148,19 @@ def test_dimension_mismatch_rejected():
         SPECS["TF1"].evaluate(np.zeros(9))
 
 
-def test_bounds_of_another_dimension_rejected():
-    with pytest.raises(ValueError, match="bounds dimension"):
-        ObjectiveSpec("x", 3, box(2, -1, 1), classical.sphere)
+def test_dimension_is_that_of_the_bounds():
+    spec = ObjectiveSpec("X", box(3, -1, 1), classical.sphere)
+    assert spec.dimension == 3 and "dimension" not in {f.name for f in fields(ObjectiveSpec)}
+    np.testing.assert_array_equal(spec.shift, np.zeros(3))
+    flat = ObjectiveSpec("Y", box(2, -1, 1), classical.sphere, shift=[0.5, 0.5])
+    wider = replace(flat, bounds=box(3, -1, 1), shift=None)
+    assert wider.dimension == wider.bounds.dimension == wider.shift.size == 3
+
+
+def test_bounds_that_are_not_a_bounds_rejected():
+    """The old call ``ObjectiveSpec(id, dimension, bounds, evaluator)`` binds bounds=2."""
+    with pytest.raises(ValueError, match="X: bounds must be a Bounds, got 2"):
+        ObjectiveSpec("X", 2, box(2, -1, 1), classical.sphere)
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 3), (3, 1)], ids=["2", "1x3", "3x1"])
@@ -157,13 +168,13 @@ def test_shift_of_another_length_rejected(shape):
     """A (1, 3) or (3, 1) shift has three entries but would broadcast x - shift
     into a matrix and evaluate another function."""
     with pytest.raises(ValueError, match="shift length"):
-        ObjectiveSpec("x", 3, box(3, -1, 1), classical.sphere, shift=np.zeros(shape))
+        ObjectiveSpec("x", box(3, -1, 1), classical.sphere, shift=np.zeros(shape))
 
 
 @pytest.mark.parametrize("noisy", ["yes", None, 2])
 def test_noisy_that_is_not_a_bool_rejected(noisy):
     with pytest.raises(ValueError, match="noisy must be one of"):
-        ObjectiveSpec("x", 2, box(2, -1, 1), classical.sphere, noisy=noisy)
+        ObjectiveSpec("x", box(2, -1, 1), classical.sphere, noisy=noisy)
 
 
 @pytest.mark.parametrize("spec", all_objectives(), ids=lambda spec: spec.id)
@@ -390,7 +401,7 @@ def _signed_spec(calls):
         calls.append(z.tobytes())
         return math.copysign(1.0, z[0]) + z[1]
 
-    return ObjectiveSpec("signed", 2, box(2, -1, 1), signed)
+    return ObjectiveSpec("signed", box(2, -1, 1), signed)
 
 
 def test_evaluate_many_with_a_memo_evaluates_each_distinct_row_once():
@@ -458,7 +469,7 @@ def test_evaluate_many_ignores_the_memo_of_a_raw_evaluator():
         calls.append(z.tobytes())
         return float(len(calls))
 
-    spec = ObjectiveSpec("stateful", 2, box(2, -1, 1), stateful, noisy=True)
+    spec = ObjectiveSpec("stateful", box(2, -1, 1), stateful, noisy=True)
     memo = ({}, {})
     assert spec.evaluate_many(np.zeros((3, 2)), [None] * 3, memo) == [1.0, 2.0, 3.0]
     assert len(calls) == 3 and memo == ({}, {})
