@@ -194,7 +194,7 @@ def compute_fitness_weight(best_fitness, current_fitness, wf, mode):
 
 def _walks(fw):
     """Whether the fitness weight ``fw`` sends its scout on a random walk: fw at 0 or 1."""
-    return abs(fw) < FW_TOL or abs(fw - 1.0) < FW_TOL
+    return (abs(fw) < FW_TOL) | (abs(fw - 1.0) < FW_TOL)
 
 
 def compute_pace(position, global_best_position, fw, r, rng):
@@ -278,16 +278,19 @@ def enforce_bounds(position, bounds, rng):
     out = np.array(position, dtype=float)
     above = out > bounds.upper
     crossed = above | (out < bounds.lower)
-    if crossed.any():
-        _repair(out, crossed, above, bounds, rng)
+    count = np.count_nonzero(crossed)
+    if count:
+        _repair(out, crossed, above, bounds, rng.random(count))
     return out
 
 
-def _repair(out, crossed, above, bounds, rng):
-    """``enforce_bounds``' repair of the vector ``out`` in place, given its
-    ``crossed`` coordinates and those of them ``above`` the box."""
+def _repair(out, crossed, above, bounds, uniforms):
+    """``enforce_bounds``' repair of ``out`` in place, a vector or a block of
+    rows that each crossed the box, given its ``crossed`` coordinates, those
+    ``above`` the box and a uniform for each crossed one, in C order.  Only
+    crossed rows are passed, so an untouched -0.0 on a zero bound stays."""
     lb, ub = bounds.lower, bounds.upper
-    out[crossed] = np.where(above, ub, lb)[crossed] * rng.random(np.count_nonzero(crossed))
+    out[crossed] = np.where(above, ub, lb)[crossed] * uniforms
     if not bounds.straddles_zero:
         out.clip(lb, ub, out=out)
 
@@ -403,15 +406,19 @@ class _Lockstep:
     ``accepts`` counts the accepts of all runs.  A scout's IFDO
     ``proposal_terms`` are kept, read-only, with the count they were
     computed at, and reused until any run of the batch accepts a move.
+    After an iteration with no accept in any run, ``_drive`` first tries
+    the next one as one ``sweep`` over every scout, which is rolled back if
+    any run accepts; never at iteration 0, nor for a noisy objective.
 
     ``memo`` is the pair of dicts, this iteration's and the last one's, in
     which ``ObjectiveSpec.evaluate_many`` keeps the values of an evaluator
-    that is neither noisy nor batched; scout 0 starts a new pair, so it holds
-    at most two iterations of candidates.  A scout that rejected both tries
-    keeps its position and saved pace, so its next second try repeats the
-    same candidate bits, which the memo does not evaluate again.  Such an
-    evaluator draws nothing and its value depends on the candidate's bits
-    alone, so every bit and every draw stays as in ``step``.
+    that is neither noisy nor batched; scout 0 or a sweep that holds starts
+    a new pair, so it holds at most two iterations of candidates.  A scout
+    that rejected both tries keeps its position and saved pace, so its next
+    second try repeats the same candidate bits, which the memo does not
+    evaluate again.  Such an evaluator draws nothing and its value depends
+    on the candidate's bits alone, so every bit and every draw stays as in
+    ``step``.
     """
 
     def __init__(self, swarms, objective):
@@ -512,11 +519,7 @@ class _Lockstep:
         paces = np.concatenate((fresh, self.paces[:, i]))
         for k, pace in walks:
             paces[k] = pace
-        seen, extra = self.terms[i]
-        if self.nl is not None and seen != self.accepts:
-            extra = self.proposal_terms(i)
-            extra.flags.writeable = False
-            self.terms[i] = self.accepts, extra
+        extra = self._terms(i)
         candidates = here + paces.reshape(2, runs, -1)
         if extra is not None:
             candidates += extra
@@ -524,11 +527,11 @@ class _Lockstep:
         bounds, rngs = objective.bounds, self.rngs
         above = candidates > self.upper
         crossed = above | (candidates < self.lower)
-        out = crossed.any(axis=1).tolist()
+        counts = crossed.sum(axis=1).tolist()
         for k in range(runs):
-            if out[k]:
-                _repair(candidates[k], crossed[k], above[k], bounds, rngs[k])
-        fused = self.batched and True not in out[runs:]
+            if counts[k]:
+                _repair(candidates[k], crossed[k], above[k], bounds, rngs[k].random(counts[k]))
+        fused = self.batched and not any(counts[runs:])
         if fused:
             values = objective.evaluate_many(candidates, rngs * 2)
         else:
@@ -541,14 +544,96 @@ class _Lockstep:
         else:
             for k in rejected:
                 row = runs + k
-                if out[row]:
-                    _repair(candidates[row], crossed[row], above[row], bounds, rngs[k])
+                if counts[row]:
+                    _repair(candidates[row], crossed[row], above[row], bounds,
+                            rngs[k].random(counts[row]))
             # basic indexing while every run is left, which is the common case
             rows = slice(runs, None) if len(rejected) == runs else [runs + k for k in rejected]
             values = objective.evaluate_many(
                 candidates[rows], [rngs[k] for k in rejected], self.memo
             )
         self._take(i, rejected, runs, candidates, paces, values)
+
+    def _terms(self, i):
+        """Scout ``i``'s kept IFDO ``proposal_terms``, computed again when some
+        run has accepted since they were kept; None in FDO."""
+        seen, extra = self.terms[i]
+        if self.nl is not None and seen != self.accepts:
+            extra = self.proposal_terms(i)
+            extra.flags.writeable = False
+            self.terms[i] = self.accepts, extra
+        return extra
+
+    def sweep(self):
+        """One iteration of every run at once, on the guess that no scout of
+        any run accepts: True if it held; else False, with every generator
+        restored and nothing else changed, and ``scout`` makes the iteration.
+
+        While nothing is accepted no position, pace, fitness, weight factor
+        or global best changes, so every fitness weight and IFDO term is
+        known up front.  One (R, p, 3, d) block holds each scout's first try
+        with +fw and with -fw and its second try; one bounds test counts
+        their crossings.  Each run then draws in ``step``'s order, scout by
+        scout: ``r``, which picks the sign, a walk's draws in
+        ``compute_pace``, and both repairs' uniforms in one
+        ``rng.random(k1 + k2)`` call, the values of ``random(k1)`` then
+        ``random(k2)`` (a double takes one 64-bit word): between the repairs
+        ``step`` draws nothing, as the objective is not noisy and the accept
+        draw comes only with an accept.  The chosen (R, p, 2, d) block is
+        repaired once, its uniforms in (run, scout, try, coordinate) order,
+        and evaluated in one ``evaluate_many`` call with a new memo pair.  A
+        finite value below its scout's fitness rolls every run back, since
+        ``scout`` moves all runs together; otherwise nothing was written.
+        """
+        swarms, rngs, objective = self.swarms, self.rngs, self.objective
+        here, best, bounds = self.positions, self.best_positions, objective.bounds
+        runs, p, d = here.shape
+        saved = [rng.bit_generator.state for rng in rngs]
+        fws = [[compute_fitness_weight(s.global_best_fitness, f, wf, s.mode)
+                for f, wf in zip(s.fitness, s.weight_factors)] for s in swarms]
+        fw = np.array(fws)[..., None]
+        walks = _walks(fw[..., 0]).tolist()
+        toward = here - best[:, None]
+        block = np.stack((toward * fw, toward * -fw, self.paces), axis=2) + here[:, :, None]
+        extra = None if self.nl is None else np.stack([self._terms(i) for i in range(p)], axis=1)
+        if extra is not None:
+            block += extra[:, :, None]
+        crossings = ((block > bounds.upper) | (block < bounds.lower)).sum(axis=3).tolist()
+        negative, uniforms = [], []
+        for k, rng in enumerate(rngs):
+            for i, f in enumerate(fws[k]):
+                r = rng.standard_normal(2)[0]
+                negative.append(r < 0.0)
+                count = crossings[k][i][1 if r < 0.0 else 0]
+                if walks[k][i]:
+                    row = here[k, i] + compute_pace(here[k, i], best[k], f, r, rng)
+                    if extra is not None:
+                        row += extra[k, i]
+                    block[k, i, :2] = row
+                    count = np.count_nonzero((row > bounds.upper) | (row < bounds.lower))
+                count += crossings[k][i][2]
+                if count:
+                    uniforms.append(rng.random(count))
+        np.copyto(block[:, :, 0], block[:, :, 1], where=np.reshape(negative, (runs, p, 1)))
+        tries = block[:, :, ::2]  # the chosen first try, then the second
+        if uniforms:
+            above = tries > bounds.upper
+            crossed = above | (tries < bounds.lower)
+            rows = crossed.any(axis=-1)
+            repaired = tries[rows]
+            _repair(repaired, crossed[rows], above[rows], bounds, np.concatenate(uniforms))
+            tries[rows] = repaired
+        memo = ({}, self.memo[0])
+        rows = tries.reshape(-1, d)
+        values = objective.evaluate_many(rows, [rng for rng in rngs for _ in range(2 * p)], memo)
+        values = np.reshape(values, (runs, p, 2))
+        fitness = np.array([s.fitness for s in swarms])[..., None]
+        if (np.isfinite(values) & (values < fitness)).any():
+            for rng, state in zip(rngs, saved):
+                rng.bit_generator.state = state
+            return False
+        self.memo = memo
+        return True
 
     def _take(self, i, tried, offset, candidates, paces, values):
         """The accept rule for scout ``i`` of each run k in ``tried``, whose
@@ -591,12 +676,16 @@ def _drive(config, seeds, objective, lockstep):
     trace = np.empty((runs, iterations))
     shape = (runs, iterations, config.population, objective.bounds.dimension)
     history = np.empty(shape) if config.record_positions else None
+    quiet = False  # whether no run accepted in the last iteration
     for t in range(iterations):
         if batch is None:
             step(swarms[0], objective)
         else:
-            for i in range(config.population):
-                batch.scout(i)
+            accepts = batch.accepts
+            if not (quiet and batch.sweep()):
+                for i in range(config.population):
+                    batch.scout(i)
+            quiet = batch.accepts == accepts and not objective.noisy
         trace[:, t] = [s.global_best_fitness for s in swarms]
         if history is not None:
             history[:, t] = [s.positions for s in swarms]

@@ -18,8 +18,9 @@ class ObjectiveSpec:
     and draws its noise from ``rng``.  ``evaluate`` returns f(x - shift) as
     a Python float (the evaluator may return any real scalar), so a base
     form with its optimum at the origin attains it at x = shift.
-    ``optimum`` is the actual minimizer in original coordinates when known;
-    it differs from the shift for a base form whose minimum is off the
+    ``optimum`` is the actual minimizer in original coordinates when known,
+    kept, like ``shift``, as a float vector of length ``dimension``; it
+    differs from the shift for a base form whose minimum is off the
     origin.  Specs compare by identity, since they hold a callable.
     """
 
@@ -39,9 +40,13 @@ class ObjectiveSpec:
         self.dimension = self.bounds.dimension
         if self.shift is None:
             self.shift = np.zeros(self.dimension)
-        self.shift = np.asarray(self.shift, dtype=float)
-        if self.shift.shape != (self.dimension,):
-            raise ValueError(f"{self.id}: shift length != dimension or shift is not a vector")
+        for name in ("shift", "optimum"):
+            vector = getattr(self, name)
+            if vector is not None:
+                vector = np.asarray(vector, dtype=float)
+                if vector.shape != (self.dimension,):
+                    raise ValueError(f"{self.id}: {name} length != dimension or not a vector")
+                setattr(self, name, vector)
         _require_choice("noisy", self.noisy, (False, True))
 
     @property

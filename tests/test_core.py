@@ -28,7 +28,7 @@ from fdopt.core import (
     step,
     update_weight_factor,
 )
-from fdopt.objective import ObjectiveSpec, box
+from fdopt.objective import ObjectiveSpec, box, over_last_axis
 from fdopt.classical import sphere, rastrigin
 from fdopt.registry import all_objectives
 
@@ -1014,12 +1014,14 @@ def _evaluations_per_scout(objective, config, seeds, monkeypatch):
     """Check ``run_many`` against ``run`` bit for bit, and return per scout
     call whether some run's second try (position + saved pace, plus the
     IFDO terms) crosses the box, with the row count of each
-    ``evaluate_many`` call the scout call made."""
-    log, objective = [], replace(objective)
-    evaluate_many, scout = objective.evaluate_many, core._Lockstep.scout
+    ``evaluate_many`` call the scout call made.  A sweep's call is kept
+    apart, so it never counts as a call of the scout before it."""
+    log, swept, objective = [], [], replace(objective)
+    evaluate_many, scout, sweep = objective.evaluate_many, core._Lockstep.scout, core._Lockstep.sweep
+    calls = [swept]  # the list the next evaluate_many call is logged in
 
     def counted(X, rngs, memo=None):
-        log[-1][1].append(len(X))
+        calls[0].append(len(X))
         return evaluate_many(X, rngs, memo)
 
     def logged(self, i):
@@ -1028,10 +1030,16 @@ def _evaluations_per_scout(objective, config, seeds, monkeypatch):
             second += self.proposal_terms(i)
         lower, upper = objective.bounds.lower, objective.bounds.upper
         log.append((bool(((second < lower) | (second > upper)).any()), []))
+        calls[0] = log[-1][1]
         return scout(self, i)
+
+    def logged_sweep(self):
+        calls[0] = swept
+        return sweep(self)
 
     objective.evaluate_many = counted
     monkeypatch.setattr(core._Lockstep, "scout", logged)
+    monkeypatch.setattr(core._Lockstep, "sweep", logged_sweep)
     records = run_many(config, seeds, objective)
     monkeypatch.undo()
     for seed, record in zip(seeds, records):
@@ -1065,6 +1073,88 @@ def test_run_many_repairs_crossing_second_tries_after_the_first(mode, monkeypatc
     assert len(crossing) > len(log) // 2
     assert all(rows[0] == len(seeds) and len(rows) <= 2 for rows in crossing)
     assert any(len(rows) == 2 for rows in crossing)
+
+
+def _sweeps(objective, config, seeds, monkeypatch):
+    """Check ``run_many`` against ``run`` bit for bit, with recorded
+    positions, and return its sweeps and ``evaluate_many`` calls in order:
+    "sweep" as a sweep starts, its result as it ends, and each call's row count."""
+    events, objective = [], replace(objective)
+    evaluate_many, sweep = objective.evaluate_many, core._Lockstep.sweep
+
+    def counted(X, rngs, memo=None):
+        events.append(len(X))
+        return evaluate_many(X, rngs, memo)
+
+    def logged(self):
+        events.append("sweep")
+        events.append(sweep(self))
+        return events[-1]
+
+    objective.evaluate_many = counted
+    monkeypatch.setattr(core._Lockstep, "sweep", logged)
+    config = replace(config, record_positions=True)
+    records = run_many(config, seeds, objective)
+    monkeypatch.undo()
+    for seed, record in zip(seeds, records):
+        assert _same_record(record, run(replace(config, seed=seed), objective))
+    return events
+
+
+def _constant(dim, low=-1.0, high=1.0, batched=False):
+    kernel = over_last_axis(lambda z: np.ones(np.shape(z)[:-1])) if batched else lambda z: 1.0
+    return ObjectiveSpec("ONE", box(dim, low, high), kernel)
+
+
+@pytest.mark.parametrize(
+    "objective, config",
+    [
+        (_constant(3), RunConfig(mode=FDO)),
+        (_constant(3), RunConfig(mode=IFDO)),
+        (_constant(3, batched=True), RunConfig(mode=IFDO)),
+        (_constant(3), RunConfig(mode=IFDO, wf_scope="swarm")),
+        (_constant(3, low=0.5, high=2.0), RunConfig(mode=IFDO)),
+        (_constant(3, low=0.5, high=2.0), RunConfig(mode=FDO)),
+        (_constant(1), RunConfig(mode=IFDO)),
+        (_constant(1), RunConfig(mode=FDO)),
+    ],
+    ids=["fdo", "ifdo", "ifdo-batched", "swarm-scope", "clamped-ifdo", "clamped-fdo", "1d-ifdo",
+         "1d-fdo"],
+)
+def test_run_many_sweeps_every_iteration_after_the_first_when_nothing_is_accepted(
+    objective, config, monkeypatch
+):
+    """On a constant objective every candidate ties and is rejected, so from
+    the second iteration on each iteration is one sweep with one
+    ``evaluate_many`` call on both tries of every scout of every run.  In
+    FDO every scout holds the global best value, so every scout walks; the
+    box [0.5, 2] keeps the clamp."""
+    config = replace(config, population=7, iterations=25)
+    seeds = (3, 4, 5)
+    events = _sweeps(objective, config, seeds, monkeypatch)
+    first = events.index("sweep")
+    rows = 2 * len(seeds) * config.population
+    assert events[first:] == ["sweep", rows, True] * (config.iterations - 1)
+
+
+def test_run_many_rolls_a_sweep_back_when_some_run_accepts(monkeypatch):
+    """On TF9 in IFDO accepts grow rare, so sweeps are tried; one in which
+    some run accepts is undone and the iteration goes scout by scout."""
+    objective = next(spec for spec in all_objectives() if spec.id == "TF9")
+    config = RunConfig(population=10, iterations=60, mode=IFDO)
+    events = _sweeps(objective, config, (3, 4, 5), monkeypatch)
+    assert True in events and False in events
+
+
+@pytest.mark.parametrize("fid", ["TF7", "ONE"])
+def test_run_many_never_sweeps_a_noisy_objective(fid, monkeypatch):
+    """TF7 draws its noise on every evaluation, so a sweep could not lay
+    out its draws; a noisy constant rejects every candidate and still
+    goes scout by scout."""
+    objective = next((spec for spec in all_objectives() if spec.id == fid),
+                     ObjectiveSpec("ONE", box(3, -1, 1), lambda z, rng: 1.0, noisy=True))
+    config = RunConfig(population=8, iterations=20, mode=IFDO)
+    assert "sweep" not in _sweeps(objective, config, (3, 4), monkeypatch)
 
 
 def _kernel_spy(spec, calls, noisy=False):

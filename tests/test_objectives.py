@@ -171,6 +171,21 @@ def test_shift_of_another_length_rejected(shape):
         ObjectiveSpec("x", box(3, -1, 1), classical.sphere, shift=np.zeros(shape))
 
 
+@pytest.mark.parametrize("optimum", [[1, 2, 3], [[1, 2]], 0.5], ids=["3", "1x2", "scalar"])
+def test_optimum_of_another_length_rejected(optimum):
+    """An optimum is checked as the shift is: ``evaluate(spec.optimum)`` must
+    take it."""
+    with pytest.raises(ValueError, match="Z: optimum length"):
+        ObjectiveSpec("Z", box(2, -1, 1), abs, optimum=optimum)
+
+
+def test_optimum_is_kept_as_a_float_vector():
+    spec = ObjectiveSpec("Z", box(2, -1, 1), classical.sphere, optimum=[1, 0])
+    assert spec.optimum.dtype == float and spec.optimum.tolist() == [1.0, 0.0]
+    assert spec.evaluate(spec.optimum) == 1.0
+    assert ObjectiveSpec("Z", box(2, -1, 1), classical.sphere).optimum is None
+
+
 @pytest.mark.parametrize("noisy", ["yes", None, 2])
 def test_noisy_that_is_not_a_bool_rejected(noisy):
     with pytest.raises(ValueError, match="noisy must be one of"):
