@@ -407,13 +407,18 @@ class _Lockstep:
     ``proposal_terms`` are kept, read-only, with the count they were
     computed at, and reused until any run of the batch accepts a move.
     After an iteration with no accept in any run, ``_drive`` first tries
-    the next one as one ``sweep`` over every scout, which is rolled back if
-    any run accepts; never at iteration 0, nor for a noisy objective.
+    the next one as one ``sweep`` over every scout; never at iteration 0,
+    nor for a noisy objective.  If some run accepts at scout m, the sweep
+    keeps scouts 0 .. m - 1 and ``scout`` makes the rest.  A chain of
+    sweeps, one per iteration while no run accepts, shares one ``chain``,
+    kept like the terms with the count it was built at, and evaluates no
+    try again that an earlier sweep of the chain found to reject.
 
     ``memo`` is the pair of dicts, this iteration's and the last one's, in
     which ``ObjectiveSpec.evaluate_many`` keeps the values of an evaluator
-    that is neither noisy nor batched; scout 0 or a sweep that holds starts
-    a new pair, so it holds at most two iterations of candidates.  A scout
+    that is neither noisy nor batched; scout 0, a sweep that holds, or one
+    that keeps scouts starts a new pair, so it holds at most two
+    iterations of candidates.  A scout
     that rejected both tries keeps its position and saved pace, so its next
     second try repeats the same candidate bits, which the memo does not
     evaluate again.  Such an evaluator draws nothing and its value depends
@@ -440,6 +445,7 @@ class _Lockstep:
         self.nl = neighbor_landscape(bounds) if swarms[0].mode == IFDO else None
         # per scout: the accept count its proposal terms were computed at, and the terms
         self.accepts, self.terms = 0, [(-1, None)] * swarms[0].population
+        self.chain = (-1,)  # what a chain of sweeps shares, from ``_chain``
         self.memo = ({}, {})
         self.rngs, self.batched = [s.rng for s in swarms], objective.batched
 
@@ -566,74 +572,131 @@ class _Lockstep:
 
     def sweep(self):
         """One iteration of every run at once, on the guess that no scout of
-        any run accepts: True if it held; else False, with every generator
-        restored and nothing else changed, and ``scout`` makes the iteration.
+        any run accepts.  Returns the first scout still to make: p if the
+        guess held; else the first scout m at which some run accepts, with
+        every generator where ``scout(m)`` expects it and nothing else
+        changed, so that ``scout`` makes scouts m .. p - 1.
 
         While nothing is accepted no position, pace, fitness, weight factor
-        or global best changes, so every fitness weight and IFDO term is
-        known up front.  One (R, p, 3, d) block holds each scout's first try
-        with +fw and with -fw and its second try; one bounds test counts
-        their crossings.  Each run then draws in ``step``'s order, scout by
-        scout: ``r``, which picks the sign, a walk's draws in
-        ``compute_pace``, and both repairs' uniforms in one
-        ``rng.random(k1 + k2)`` call, the values of ``random(k1)`` then
-        ``random(k2)`` (a double takes one 64-bit word): between the repairs
-        ``step`` draws nothing, as the objective is not noisy and the accept
-        draw comes only with an accept.  The chosen (R, p, 2, d) block is
-        repaired once, its uniforms in (run, scout, try, coordinate) order,
-        and evaluated in one ``evaluate_many`` call with a new memo pair.  A
-        finite value below its scout's fitness rolls every run back, since
-        ``scout`` moves all runs together; otherwise nothing was written.
+        or global best changes.  So the sweeps of one quiet stretch share
+        one ``_chain``, kept with the ``accepts`` it was built at, as the
+        IFDO terms are, and each sweep makes only the draws of ``_draws``.
+        It copies each scout's first try, +fw or -fw by the sign of its
+        ``r``, and its second try out of the chain's block into (R, p, 2, d)
+        tries, puts each walk in place of its first try, and repairs the
+        crossed rows in one ``_repair`` call, their uniforms in (run, scout,
+        try, coordinate) order.  A try of the block that is neither crossed
+        nor walked has the same bits in every sweep of the chain, and so
+        the same value: once a sweep that held has evaluated it, it is
+        known to reject.  Every other row goes to one ``evaluate_many`` call
+        with a new memo pair; with no such row there is no call.
+
+        If a value is finite and below its scout's fitness, the sweep is
+        rolled back from the first scout m at which some run accepts, since
+        ``scout`` moves all runs together.  The generators are restored and
+        the draws of scouts 0 .. m - 1 made again; those scouts reject in
+        every run, so ``scout`` would change nothing else.  With m > 0 the
+        memo pair is rotated as ``scout(0)`` would, and the sweep's rows,
+        whose scouts from m on ``scout`` makes again, are not kept.
         """
-        swarms, rngs, objective = self.swarms, self.rngs, self.objective
-        here, best, bounds = self.positions, self.best_positions, objective.bounds
-        runs, p, d = here.shape
-        saved = [rng.bit_generator.state for rng in rngs]
+        runs, p, d = self.positions.shape
+        if self.chain[0] != self.accepts:
+            self.chain = self._chain()
+        *_, block, fitness, fixed, known = self.chain
+        saved = [rng.bit_generator.state for rng in self.rngs]
+        negative, walked, uniforms = self._draws(p)
+        # block rows of the tries: row 2j is scout j's first try, 2j + 1 its second
+        picks = np.add.outer(np.arange(0, 3 * runs * p, 3), (0, 2))
+        picks[:, 0] += negative
+        picks = picks.ravel()
+        tries = block.reshape(-1, d)[picks]
+        for row, walk in walked:
+            tries[row] = walk
+        if uniforms:
+            bounds = self.objective.bounds
+            above = tries > bounds.upper
+            crossed = above | (tries < bounds.lower)
+            hit = crossed.any(axis=1)
+            repaired = tries[hit]
+            _repair(repaired, crossed[hit], above[hit], bounds, np.concatenate(uniforms))
+            tries[hit] = repaired
+        new = ~known[picks]
+        rows, memo = tries[new], ({}, self.memo[0])
+        # the objective is not noisy, so no row draws from a generator
+        values = np.array(self.objective.evaluate_many(rows, [None] * len(rows), memo)
+                          if len(rows) else [])
+        accepted = np.isfinite(values) & (values < fitness[new])
+        if not accepted.any():
+            known[picks] |= fixed[picks]
+            self.memo = memo
+            return p
+        for rng, state in zip(self.rngs, saved):
+            rng.bit_generator.state = state
+        m = int((np.flatnonzero(new)[accepted] // 2 % p).min())
+        self._draws(m)
+        if m:
+            self.memo = ({}, self.memo[0])
+        return m
+
+    def _chain(self):
+        """What the sweeps of a quiet stretch share, with the ``accepts`` it
+        was built at: per run and scout its fitness weight, whether it
+        walks, and how many coordinates of each try of the block cross the
+        box; the read-only (R, p, 3, d) block of each scout's first try with
+        +fw and with -fw, plus its IFDO terms, and its second try; its
+        scout's fitness for each of ``sweep``'s tries; and, flat over the
+        block, whether a try is neither crossed nor walked, and whether it
+        is known to reject."""
+        swarms, here, best = self.swarms, self.positions, self.best_positions
+        bounds, p = self.objective.bounds, here.shape[1]
         fws = [[compute_fitness_weight(s.global_best_fitness, f, wf, s.mode)
                 for f, wf in zip(s.fitness, s.weight_factors)] for s in swarms]
         fw = np.array(fws)[..., None]
-        walks = _walks(fw[..., 0]).tolist()
+        walks = _walks(fw[..., 0])
         toward = here - best[:, None]
         block = np.stack((toward * fw, toward * -fw, self.paces), axis=2) + here[:, :, None]
-        extra = None if self.nl is None else np.stack([self._terms(i) for i in range(p)], axis=1)
-        if extra is not None:
-            block += extra[:, :, None]
-        crossings = ((block > bounds.upper) | (block < bounds.lower)).sum(axis=3).tolist()
-        negative, uniforms = [], []
-        for k, rng in enumerate(rngs):
-            for i, f in enumerate(fws[k]):
-                r = rng.standard_normal(2)[0]
+        if self.nl is not None:
+            block += np.stack([self._terms(i) for i in range(p)], axis=1)[:, :, None]
+        block.flags.writeable = False
+        crossings = ((block > bounds.upper) | (block < bounds.lower)).sum(axis=3)
+        fixed = crossings == 0
+        fixed[..., :2] &= ~walks[..., None]
+        return (self.accepts, fws, walks.tolist(), crossings.tolist(), block,
+                np.repeat([s.fitness for s in swarms], 2), fixed.ravel(),
+                np.zeros(fixed.size, dtype=bool))
+
+    def _draws(self, stop):
+        """The draws of scouts 0 .. ``stop`` - 1 of every run, in ``step``'s
+        order, given that none accepts: ``r``, which picks the sign, a
+        walk's draws in ``compute_pace``, and both repairs' uniforms in one
+        ``rng.random(k1 + k2)`` call, the values of ``random(k1)`` then
+        ``random(k2)`` (a double takes one 64-bit word): between the repairs
+        ``step`` draws nothing, as the objective is not noisy and the accept
+        draw comes only with an accept.  Reads the ``chain``.  Returns, in
+        (run, scout) order, whether each r is negative, each walk as (its row
+        in ``sweep``'s tries, the walked first try), and the uniforms."""
+        here, best, bounds = self.positions, self.best_positions, self.objective.bounds
+        p = here.shape[1]
+        _, fws, walks, crossings = self.chain[:4]
+        negative, walked, uniforms = [], [], []
+        for k, rng in enumerate(self.rngs):
+            for i in range(stop):
+                r = rng.standard_normal(2).item(0)
                 negative.append(r < 0.0)
-                count = crossings[k][i][1 if r < 0.0 else 0]
+                # crossings of the first try with +fw, with -fw, and of the second
+                counts = crossings[k][i]
+                count = counts[r < 0.0] + counts[2]
                 if walks[k][i]:
-                    row = here[k, i] + compute_pace(here[k, i], best[k], f, r, rng)
+                    row = here[k, i] + compute_pace(here[k, i], best[k], fws[k][i], r, rng)
+                    extra = self._terms(i)
                     if extra is not None:
-                        row += extra[k, i]
-                    block[k, i, :2] = row
-                    count = np.count_nonzero((row > bounds.upper) | (row < bounds.lower))
-                count += crossings[k][i][2]
+                        row += extra[k]
+                    walked.append((2 * (k * p + i), row))
+                    crossed = (row > bounds.upper) | (row < bounds.lower)
+                    count = counts[2] + np.count_nonzero(crossed)
                 if count:
                     uniforms.append(rng.random(count))
-        np.copyto(block[:, :, 0], block[:, :, 1], where=np.reshape(negative, (runs, p, 1)))
-        tries = block[:, :, ::2]  # the chosen first try, then the second
-        if uniforms:
-            above = tries > bounds.upper
-            crossed = above | (tries < bounds.lower)
-            rows = crossed.any(axis=-1)
-            repaired = tries[rows]
-            _repair(repaired, crossed[rows], above[rows], bounds, np.concatenate(uniforms))
-            tries[rows] = repaired
-        memo = ({}, self.memo[0])
-        rows = tries.reshape(-1, d)
-        values = objective.evaluate_many(rows, [rng for rng in rngs for _ in range(2 * p)], memo)
-        values = np.reshape(values, (runs, p, 2))
-        fitness = np.array([s.fitness for s in swarms])[..., None]
-        if (np.isfinite(values) & (values < fitness)).any():
-            for rng, state in zip(rngs, saved):
-                rng.bit_generator.state = state
-            return False
-        self.memo = memo
-        return True
+        return negative, walked, uniforms
 
     def _take(self, i, tried, offset, candidates, paces, values):
         """The accept rule for scout ``i`` of each run k in ``tried``, whose
@@ -668,7 +731,10 @@ def _drive(config, seeds, objective, lockstep):
     """The run loop of ``run`` and ``run_many``: the swarm of each seed,
     advanced alone by ``step`` or with the others by ``_Lockstep``, traced
     (its positions kept in one (R, iterations, p, d) block with
-    ``record_positions``) and returned as a RunRecord with its time share."""
+    ``record_positions``) and returned as a RunRecord with its time share.
+    In lockstep an iteration after one with no accept, for an objective
+    that is not noisy, starts with ``_Lockstep.sweep``, and ``scout`` makes
+    the scouts from the first the sweep returns: none if it held."""
     start = time.perf_counter()
     swarms = [init_population(replace(config, seed=s), objective) for s in seeds]
     batch = _Lockstep(swarms, objective) if lockstep else None
@@ -682,9 +748,8 @@ def _drive(config, seeds, objective, lockstep):
             step(swarms[0], objective)
         else:
             accepts = batch.accepts
-            if not (quiet and batch.sweep()):
-                for i in range(config.population):
-                    batch.scout(i)
+            for i in range(batch.sweep() if quiet else 0, config.population):
+                batch.scout(i)
             quiet = batch.accepts == accepts and not objective.noisy
         trace[:, t] = [s.global_best_fitness for s in swarms]
         if history is not None:

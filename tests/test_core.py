@@ -1077,14 +1077,21 @@ def test_run_many_repairs_crossing_second_tries_after_the_first(mode, monkeypatc
 
 def _sweeps(objective, config, seeds, monkeypatch):
     """Check ``run_many`` against ``run`` bit for bit, with recorded
-    positions, and return its sweeps and ``evaluate_many`` calls in order:
-    "sweep" as a sweep starts, its result as it ends, and each call's row count."""
+    positions, and return what it did in order: "sweep" as a sweep starts
+    and the first scout it leaves to ``scout`` as it ends, ("scout", i) as
+    scout i starts, and the shifted rows of each ``evaluate_many`` call as a
+    list of bytes."""
     events, objective = [], replace(objective)
-    evaluate_many, sweep = objective.evaluate_many, core._Lockstep.sweep
+    evaluate_many, lockstep = objective.evaluate_many, core._Lockstep
+    scout, sweep = lockstep.scout, lockstep.sweep
 
     def counted(X, rngs, memo=None):
-        events.append(len(X))
+        events.append([z.tobytes() for z in np.asarray(X) - objective.shift])
         return evaluate_many(X, rngs, memo)
+
+    def logged_scout(self, i):
+        events.append(("scout", i))
+        return scout(self, i)
 
     def logged(self):
         events.append("sweep")
@@ -1092,6 +1099,7 @@ def _sweeps(objective, config, seeds, monkeypatch):
         return events[-1]
 
     objective.evaluate_many = counted
+    monkeypatch.setattr(core._Lockstep, "scout", logged_scout)
     monkeypatch.setattr(core._Lockstep, "sweep", logged)
     config = replace(config, record_positions=True)
     records = run_many(config, seeds, objective)
@@ -1101,9 +1109,36 @@ def _sweeps(objective, config, seeds, monkeypatch):
     return events
 
 
+def _swept_rows(events):
+    """Per sweep in ``events``, from ``_sweeps``: the rows it evaluated, and
+    what it returned."""
+    sweeps = []
+    for event in events:
+        if event == "sweep":
+            sweeps.append(([], None))
+        elif isinstance(event, int) and sweeps:
+            sweeps[-1] = (sweeps[-1][0], event)
+        elif isinstance(event, list) and sweeps and sweeps[-1][1] is None:
+            sweeps[-1][0].extend(event)
+    return sweeps
+
+
 def _constant(dim, low=-1.0, high=1.0, batched=False):
     kernel = over_last_axis(lambda z: np.ones(np.shape(z)[:-1])) if batched else lambda z: 1.0
     return ObjectiveSpec("ONE", box(dim, low, high), kernel)
+
+
+def _run_candidates(objective, config, seed):
+    """The shifted candidates ``run`` evaluates for ``seed``, by iteration,
+    as bytes, where every scout evaluates both tries, as on a constant."""
+    rows, p = [], config.population
+
+    def recording(z):
+        rows.append(z.tobytes())
+        return objective.evaluator(z)
+
+    run(replace(config, seed=seed), replace(objective, evaluator=recording))
+    return [rows[p + 2 * p * t:p + 2 * p * (t + 1)] for t in range(config.iterations)]
 
 
 @pytest.mark.parametrize(
@@ -1125,25 +1160,90 @@ def test_run_many_sweeps_every_iteration_after_the_first_when_nothing_is_accepte
     objective, config, monkeypatch
 ):
     """On a constant objective every candidate ties and is rejected, so from
-    the second iteration on each iteration is one sweep with one
-    ``evaluate_many`` call on both tries of every scout of every run.  In
-    FDO every scout holds the global best value, so every scout walks; the
-    box [0.5, 2] keeps the clamp."""
+    the second iteration on each iteration is one sweep that holds, and the
+    sweeps form one chain.  Its first sweep evaluates both tries of every
+    scout of every run; a later one evaluates, of the candidates ``run``
+    makes in that iteration, every one that no earlier sweep of the chain
+    evaluated: the walks, the repaired tries, and the first tries whose
+    sign has not come up before.  It evaluates no other row again, but for
+    the scout at its run's global best: both its first tries and its second
+    try (a zero saved pace) are its position, three tries of the block with
+    one row's bits, each evaluated once.  In FDO every scout holds the
+    global best value, so every scout walks, and a later sweep evaluates
+    the R·p walks alone.  The box [0.5, 2] keeps the clamp, which can put a
+    repaired try on bits it had before."""
     config = replace(config, population=7, iterations=25)
     seeds = (3, 4, 5)
+    runs, p = len(seeds), config.population
     events = _sweeps(objective, config, seeds, monkeypatch)
-    first = events.index("sweep")
-    rows = 2 * len(seeds) * config.population
-    assert events[first:] == ["sweep", rows, True] * (config.iterations - 1)
+    chain = events[events.index("sweep"):]
+    assert not any(isinstance(event, tuple) for event in chain)  # no scout call
+    sweeps = _swept_rows(chain)
+    assert [held for _, held in sweeps] == [p] * (config.iterations - 1)
+    candidates = [_run_candidates(objective, config, seed) for seed in seeds]
+    sent = []
+    for t, (rows, _) in enumerate(sweeps, start=1):
+        made = {row for by_iteration in candidates for row in by_iteration[t]}
+        assert made - set(sent) <= set(rows) <= made
+        sent += rows
+    if objective.bounds.straddles_zero:
+        # elsewhere a repair clamped onto the box repeats its bits, though it is new
+        assert len(sent) - len(set(sent)) <= 2 * runs
+    assert len(sweeps[0][0]) == 2 * runs * p
+    if config.mode == FDO:
+        assert all(len(rows) == runs * p for rows, _ in sweeps[1:])
+    else:
+        assert max(len(rows) for rows, _ in sweeps[1:]) < 2 * runs * p
+
+
+def _kept_prefixes(events, p):
+    """Per sweep in ``events`` that was rolled back after keeping scouts
+    0 .. m - 1, with 0 < m < p: m and the scouts its iteration then made."""
+    kept = []
+    for k, m in enumerate(events):
+        if isinstance(m, int) and 0 < m < p:
+            scouts = [e[1] for e in events[k + 1:] if isinstance(e, tuple)]
+            # the iteration's scouts count up from m; the next iteration starts at 0
+            made = next((j for j in range(1, len(scouts)) if scouts[j] <= scouts[j - 1]),
+                        len(scouts))
+            kept.append((m, scouts[:made]))
+    return kept
 
 
 def test_run_many_rolls_a_sweep_back_when_some_run_accepts(monkeypatch):
-    """On TF9 in IFDO accepts grow rare, so sweeps are tried; one in which
-    some run accepts is undone and the iteration goes scout by scout."""
+    """On TF9 in IFDO accepts grow rare, so sweeps are tried.  One that holds
+    returns p; one in which some run accepts at scout m is undone from
+    there on, and its iteration makes scouts m .. p - 1 alone."""
     objective = next(spec for spec in all_objectives() if spec.id == "TF9")
     config = RunConfig(population=10, iterations=60, mode=IFDO)
+    p = config.population
     events = _sweeps(objective, config, (3, 4, 5), monkeypatch)
-    assert True in events and False in events
+    assert p in events
+    kept = _kept_prefixes(events, p)
+    assert kept
+    assert all(made == list(range(m, p)) for m, made in kept)
+
+
+@pytest.mark.parametrize("fid, mode, wf_scope", [("TF9", IFDO, "scout"), ("CEC04", IFDO, "scout"),
+                                                 ("EVAC", FDO, "scout"), ("TF1", IFDO, "swarm")])
+def test_run_many_equals_run_through_sweep_chains_and_kept_prefixes(fid, mode, wf_scope,
+                                                                    monkeypatch):
+    """Long runs reach what 10 iterations rarely do: chains of held sweeps,
+    whose later sweeps skip the rows known to reject, and rollbacks that
+    keep the scouts before the first that accepts.  TF9 and TF1 (swarm
+    scope) in IFDO, CEC04 in IFDO, and EVAC (d = 1, a clamped box and a
+    memoized evaluator) in FDO, each bit for bit against ``run``."""
+    objective = next(spec for spec in all_objectives() if spec.id == fid)
+    config = RunConfig(population=12, iterations=150, mode=mode, wf_scope=wf_scope)
+    seeds, p = (3, 4, 5), config.population
+    events = _sweeps(objective, config, seeds, monkeypatch)
+    sweeps = _swept_rows(events)
+    # after a held sweep the next iteration is a sweep of the same chain
+    chained = [rows for (_, last), (rows, held) in zip(sweeps, sweeps[1:])
+               if last == held == p]
+    assert chained and min(map(len, chained)) < 2 * len(seeds) * p
+    kept = _kept_prefixes(events, p)
+    assert kept and all(made == list(range(m, p)) for m, made in kept)
 
 
 @pytest.mark.parametrize("fid", ["TF7", "ONE"])
@@ -1220,3 +1320,49 @@ def test_lockstep_memo_holds_the_candidates_of_two_iterations_at_most():
         this, last = batch.memo
         assert set(this) == seen[-1] and set(last) == seen[-2]
         assert len(this) + len(last) <= 2 * 3 * config.population * 2
+
+
+def test_lockstep_memo_holds_two_iterations_of_candidates_through_sweeps(monkeypatch):
+    """EVAC in FDO sweeps most iterations and rolls some sweeps back after
+    keeping a prefix: as each iteration starts, the memo holds candidates
+    evaluated in the last iteration and in the one before, at most 2Rp of
+    each.  A rolled-back sweep's rows are not among them: its scouts before
+    m reject, and those from m on are made again by ``scout``."""
+    objective = replace(next(spec for spec in all_objectives() if spec.id == "EVAC"))
+    evaluate_many, lockstep = objective.evaluate_many, core._Lockstep
+    scout, sweep = lockstep.scout, lockstep.sweep
+    config, seeds = RunConfig(population=12, iterations=150, mode=FDO), (3, 4, 5)
+    seen, returned, batches = [set(), set()], [], []
+
+    def starts_iteration(batch):
+        this, last = batch.memo
+        assert set(this) <= seen[-1] and set(last) <= seen[-2]
+        assert max(len(this), len(last)) <= 2 * len(seeds) * config.population
+        seen.append(set())
+        batches[:] = [batch]
+
+    def recorded(X, rngs, memo=None):
+        seen[-1].update(z.tobytes() for z in np.asarray(X) - objective.shift)
+        return evaluate_many(X, rngs, memo)
+
+    def logged_sweep(self):
+        starts_iteration(self)
+        returned.append(sweep(self))
+        if returned[-1] < config.population:
+            seen[-1].clear()  # the memo keeps none of a rolled-back sweep's rows
+        return returned[-1]
+
+    def logged_scout(self, i):
+        # scout 0 starts an iteration unless it follows a sweep that returned 0
+        if i == 0 and returned[-1:] != [0]:
+            starts_iteration(self)
+        returned.append(None)
+        return scout(self, i)
+
+    objective.evaluate_many = recorded
+    monkeypatch.setattr(core._Lockstep, "scout", logged_scout)
+    monkeypatch.setattr(core._Lockstep, "sweep", logged_sweep)
+    run_many(config, seeds, objective)
+    starts_iteration(batches[0])
+    assert len(seen) == config.iterations + 3
+    assert any(isinstance(m, int) and 0 < m < config.population for m in returned)
