@@ -406,18 +406,21 @@ class _Lockstep:
     ``accepts`` counts the accepts of all runs.  A scout's IFDO
     ``proposal_terms`` are kept, read-only, with the count they were
     computed at, and reused until any run of the batch accepts a move.
-    After an iteration with no accept in any run, ``_drive`` first tries
-    the next one as one ``sweep`` over every scout; never at iteration 0,
-    nor for a noisy objective.  If some run accepts at scout m, the sweep
-    keeps scouts 0 .. m - 1 and ``scout`` makes the rest.  A chain of
-    sweeps, one per iteration while no run accepts, shares one ``chain``,
-    kept like the terms with the count it was built at, and evaluates no
-    try again that an earlier sweep of the chain found to reject.
+    After an iteration in which no run accepted, or none after the scout
+    its sweep rolled back to, ``_drive`` first tries the next one as one
+    ``sweep`` over every scout; never at iteration 0, nor for a noisy
+    objective.  If some run accepts at scout m, the sweep keeps scouts
+    0 .. m - 1, ``scout`` makes scout m, and a second sweep tries scouts
+    m + 1 .. p - 1; ``scout`` makes the scouts from where that one stops.
+    The sweeps of a quiet stretch share one ``chain``, kept like the terms
+    with the count it was built at, which computes the terms of every
+    scout in one call, and evaluate no try again that an earlier sweep of
+    the chain found to reject.
 
     ``memo`` is the pair of dicts, this iteration's and the last one's, in
     which ``ObjectiveSpec.evaluate_many`` keeps the values of an evaluator
-    that is neither noisy nor batched; scout 0, a sweep that holds, or one
-    that keeps scouts starts a new pair, so it holds at most two
+    that is neither noisy nor batched; scout 0, or a sweep from scout 0
+    that holds or keeps scouts, starts a new pair, so it holds at most two
     iterations of candidates.  A scout
     that rejected both tries keeps its position and saved pace, so its next
     second try repeats the same candidate bits, which the memo does not
@@ -449,11 +452,13 @@ class _Lockstep:
         self.memo = ({}, {})
         self.rngs, self.batched = [s.rng for s in swarms], objective.batched
 
-    def proposal_terms(self, i):
-        """What ``propose_position`` adds to position + pace for scout ``i``
-        in IFDO, one row per run: alignment / cohesion of its
-        ``neighborhood``, 0.0 where the cohesion is below ``COHESION_TOL``,
-        and -0.0, which adds nothing, for a run without neighbors.
+    def proposal_terms(self, first, stop):
+        """What ``propose_position`` adds to position + pace in IFDO for each
+        scout i of the stretch ``first`` .. ``stop`` - 1, as an (R, n, d)
+        block: alignment / cohesion of its ``neighborhood``, 0.0 where the
+        cohesion is below ``COHESION_TOL``, and -0.0, which adds nothing,
+        for a run without neighbors.  ``scout`` asks for one scout, ``_chain``
+        for all p at once; a scout's terms have the same bits either way.
 
         Each mean is the sum over the neighbors in scout order, divided by
         the count.  For d >= 2 non-neighbors are filled with -0.0, which
@@ -471,21 +476,25 @@ class _Lockstep:
         """
         positions, state = self.positions, self.state
         runs, p, d = positions.shape
-        own = positions[:, i]
-        deltas = (positions - own[:, None]).reshape(runs * p, d)
-        mask = (np.sqrt(np.einsum("ij,ij->i", deltas, deltas)) <= self.nl).reshape(runs, p)
-        mask[:, i] = False
-        count = mask.sum(axis=1)
+        own = positions[:, first:stop]
+        deltas = (positions[:, None] - own[:, :, None]).reshape(-1, d)
+        mask = (np.sqrt(np.einsum("ij,ij->i", deltas, deltas)) <= self.nl).reshape(runs, -1, p, 1)
+        del deltas  # for all p scouts it is as large as half the filled block below
+        # scout first + j is no neighbor of itself: row j, column first + j
+        mask.reshape(runs, -1)[:, first::p + 1] = False
+        count = mask.sum(axis=2)
         if d > 1:
-            sums = np.where(mask[..., None], state, -0.0).sum(axis=1)
+            sums = np.where(mask, state[:, None], -0.0).sum(axis=2)
         else:
-            sums = np.array([(s[m, 0].sum(), s[m, 1].sum()) for s, m in zip(state, mask)])
-        means = sums / np.maximum(count, 1)[:, None]
-        cohesion = means[:, :d] - own
-        extra = np.zeros((runs, d))
-        np.divide(means[:, d:], cohesion, out=extra, where=np.abs(cohesion) >= COHESION_TOL)
-        if 0 in count.tolist():
-            extra[count == 0] = -0.0
+            sums = np.array([(s[m, 0].sum(), s[m, 1].sum()) for s, m in
+                             zip(state.repeat(stop - first, axis=0), mask.reshape(-1, p))])
+            sums = sums.reshape(runs, -1, 2)
+        means = sums / np.maximum(count, 1)
+        cohesion = means[..., :d] - own
+        extra = np.zeros(own.shape)
+        np.divide(means[..., d:], cohesion, out=extra, where=np.abs(cohesion) >= COHESION_TOL)
+        if 0 in count.ravel().tolist():
+            np.copyto(extra, -0.0, where=count == 0)
         return extra
 
     def scout(self, i):
@@ -565,48 +574,51 @@ class _Lockstep:
         run has accepted since they were kept; None in FDO."""
         seen, extra = self.terms[i]
         if self.nl is not None and seen != self.accepts:
-            extra = self.proposal_terms(i)
+            extra = self.proposal_terms(i, i + 1)[:, 0]
             extra.flags.writeable = False
             self.terms[i] = self.accepts, extra
         return extra
 
-    def sweep(self):
-        """One iteration of every run at once, on the guess that no scout of
-        any run accepts.  Returns the first scout still to make: p if the
-        guess held; else the first scout m at which some run accepts, with
-        every generator where ``scout(m)`` expects it and nothing else
-        changed, so that ``scout`` makes scouts m .. p - 1.
+    def sweep(self, first=0):
+        """Scouts ``first`` .. p - 1 of every run at once, on the guess that
+        none of them accepts in any run.  Returns the first scout still to
+        make: p if the guess held; else the first scout m at which some run
+        accepts, with every generator where ``scout(m)`` expects it and
+        nothing else changed, so that ``scout`` can make scout m.
 
         While nothing is accepted no position, pace, fitness, weight factor
         or global best changes.  So the sweeps of one quiet stretch share
         one ``_chain``, kept with the ``accepts`` it was built at, as the
         IFDO terms are, and each sweep makes only the draws of ``_draws``.
         It copies each scout's first try, +fw or -fw by the sign of its
-        ``r``, and its second try out of the chain's block into (R, p, 2, d)
-        tries, puts each walk in place of its first try, and repairs the
-        crossed rows in one ``_repair`` call, their uniforms in (run, scout,
-        try, coordinate) order.  A try of the block that is neither crossed
-        nor walked has the same bits in every sweep of the chain, and so
-        the same value: once a sweep that held has evaluated it, it is
-        known to reject.  Every other row goes to one ``evaluate_many`` call
-        with a new memo pair; with no such row there is no call.
+        ``r``, and its second try out of the chain's block into (R, n, 2, d)
+        tries, n = p - ``first``, puts each walk in place of its first try,
+        and repairs the crossed rows in one ``_repair`` call, their uniforms
+        in (run, scout, try, coordinate) order.  A try of the block that is
+        neither crossed nor walked has the same bits in every sweep of the
+        chain, and so the same value: once a sweep that held has evaluated
+        it, it is known to reject.  Every other row goes to one
+        ``evaluate_many`` call; with no such row there is no call.  A sweep
+        from scout 0 starts a new memo pair, as ``scout(0)`` would; a later
+        one adds to this iteration's.
 
         If a value is finite and below its scout's fitness, the sweep is
         rolled back from the first scout m at which some run accepts, since
         ``scout`` moves all runs together.  The generators are restored and
-        the draws of scouts 0 .. m - 1 made again; those scouts reject in
-        every run, so ``scout`` would change nothing else.  With m > 0 the
-        memo pair is rotated as ``scout(0)`` would, and the sweep's rows,
-        whose scouts from m on ``scout`` makes again, are not kept.
+        the draws of scouts ``first`` .. m - 1 made again; those scouts
+        reject in every run, so ``scout`` would change nothing else.  The
+        sweep's rows are not kept, and with ``first`` = 0 < m the memo pair
+        is rotated as ``scout(0)`` would.
         """
         runs, p, d = self.positions.shape
         if self.chain[0] != self.accepts:
             self.chain = self._chain()
         *_, block, fitness, fixed, known = self.chain
         saved = [rng.bit_generator.state for rng in self.rngs]
-        negative, walked, uniforms = self._draws(p)
-        # block rows of the tries: row 2j is scout j's first try, 2j + 1 its second
-        picks = np.add.outer(np.arange(0, 3 * runs * p, 3), (0, 2))
+        negative, walked, uniforms = self._draws(first, p)
+        # block rows of the tries: row 2j is the j-th swept scout's first try, 2j + 1 its second
+        swept = np.arange(0, runs * p, p)[:, None] + np.arange(first, p)
+        picks = np.add.outer(3 * swept.ravel(), (0, 2))
         picks[:, 0] += negative
         picks = picks.ravel()
         tries = block.reshape(-1, d)[picks]
@@ -621,21 +633,23 @@ class _Lockstep:
             _repair(repaired, crossed[hit], above[hit], bounds, np.concatenate(uniforms))
             tries[hit] = repaired
         new = ~known[picks]
-        rows, memo = tries[new], ({}, self.memo[0])
+        # a copy of this iteration's dict, so that a rollback keeps none of the sweep's rows
+        this, last = self.memo
+        rows, memo = tries[new], (dict(this), last) if first else ({}, this)
         # the objective is not noisy, so no row draws from a generator
         values = np.array(self.objective.evaluate_many(rows, [None] * len(rows), memo)
                           if len(rows) else [])
-        accepted = np.isfinite(values) & (values < fitness[new])
+        accepted = np.isfinite(values) & (values < fitness[picks[new]])
         if not accepted.any():
             known[picks] |= fixed[picks]
             self.memo = memo
             return p
         for rng, state in zip(self.rngs, saved):
             rng.bit_generator.state = state
-        m = int((np.flatnonzero(new)[accepted] // 2 % p).min())
-        self._draws(m)
-        if m:
-            self.memo = ({}, self.memo[0])
+        m = first + int((np.flatnonzero(new)[accepted] // 2 % (p - first)).min())
+        self._draws(first, m)
+        if first == 0 < m:
+            self.memo = ({}, this)
         return m
 
     def _chain(self):
@@ -643,10 +657,11 @@ class _Lockstep:
         was built at: per run and scout its fitness weight, whether it
         walks, and how many coordinates of each try of the block cross the
         box; the read-only (R, p, 3, d) block of each scout's first try with
-        +fw and with -fw, plus its IFDO terms, and its second try; its
-        scout's fitness for each of ``sweep``'s tries; and, flat over the
-        block, whether a try is neither crossed nor walked, and whether it
-        is known to reject."""
+        +fw and with -fw, plus its IFDO terms, and its second try; and, flat
+        over the block, each try's scout fitness, whether it is neither
+        crossed nor walked, and whether it is known to reject.  The IFDO
+        terms of all p scouts come from one ``proposal_terms`` call, and
+        each scout keeps its read-only slice as ``scout`` keeps its own."""
         swarms, here, best = self.swarms, self.positions, self.best_positions
         bounds, p = self.objective.bounds, here.shape[1]
         fws = [[compute_fitness_weight(s.global_best_fitness, f, wf, s.mode)
@@ -656,31 +671,35 @@ class _Lockstep:
         toward = here - best[:, None]
         block = np.stack((toward * fw, toward * -fw, self.paces), axis=2) + here[:, :, None]
         if self.nl is not None:
-            block += np.stack([self._terms(i) for i in range(p)], axis=1)[:, :, None]
+            terms = self.proposal_terms(0, p)
+            terms.flags.writeable = False
+            self.terms = [(self.accepts, terms[:, i]) for i in range(p)]
+            block += terms[:, :, None]
         block.flags.writeable = False
         crossings = ((block > bounds.upper) | (block < bounds.lower)).sum(axis=3)
         fixed = crossings == 0
         fixed[..., :2] &= ~walks[..., None]
         return (self.accepts, fws, walks.tolist(), crossings.tolist(), block,
-                np.repeat([s.fitness for s in swarms], 2), fixed.ravel(),
+                np.repeat([s.fitness for s in swarms], 3), fixed.ravel(),
                 np.zeros(fixed.size, dtype=bool))
 
-    def _draws(self, stop):
-        """The draws of scouts 0 .. ``stop`` - 1 of every run, in ``step``'s
-        order, given that none accepts: ``r``, which picks the sign, a
-        walk's draws in ``compute_pace``, and both repairs' uniforms in one
-        ``rng.random(k1 + k2)`` call, the values of ``random(k1)`` then
-        ``random(k2)`` (a double takes one 64-bit word): between the repairs
-        ``step`` draws nothing, as the objective is not noisy and the accept
-        draw comes only with an accept.  Reads the ``chain``.  Returns, in
-        (run, scout) order, whether each r is negative, each walk as (its row
-        in ``sweep``'s tries, the walked first try), and the uniforms."""
+    def _draws(self, start, stop):
+        """The draws of scouts ``start`` .. ``stop`` - 1 of every run, in
+        ``step``'s order, given that none accepts: ``r``, which picks the
+        sign, a walk's draws in ``compute_pace``, and both repairs' uniforms
+        in one ``rng.random(k1 + k2)`` call, the values of ``random(k1)``
+        then ``random(k2)`` (a double takes one 64-bit word): between the
+        repairs ``step`` draws nothing, as the objective is not noisy and
+        the accept draw comes only with an accept.  Reads the ``chain``.
+        Returns, in (run, scout) order, whether each r is negative, each
+        walk as (its row in the tries of ``sweep(start)``, the walked first
+        try), and the uniforms."""
         here, best, bounds = self.positions, self.best_positions, self.objective.bounds
-        p = here.shape[1]
+        n = here.shape[1] - start
         _, fws, walks, crossings = self.chain[:4]
         negative, walked, uniforms = [], [], []
         for k, rng in enumerate(self.rngs):
-            for i in range(stop):
+            for i in range(start, stop):
                 r = rng.standard_normal(2).item(0)
                 negative.append(r < 0.0)
                 # crossings of the first try with +fw, with -fw, and of the second
@@ -691,7 +710,7 @@ class _Lockstep:
                     extra = self._terms(i)
                     if extra is not None:
                         row += extra[k]
-                    walked.append((2 * (k * p + i), row))
+                    walked.append((2 * (k * n + i - start), row))
                     crossed = (row > bounds.upper) | (row < bounds.lower)
                     count = counts[2] + np.count_nonzero(crossed)
                 if count:
@@ -732,9 +751,13 @@ def _drive(config, seeds, objective, lockstep):
     advanced alone by ``step`` or with the others by ``_Lockstep``, traced
     (its positions kept in one (R, iterations, p, d) block with
     ``record_positions``) and returned as a RunRecord with its time share.
-    In lockstep an iteration after one with no accept, for an objective
-    that is not noisy, starts with ``_Lockstep.sweep``, and ``scout`` makes
-    the scouts from the first the sweep returns: none if it held."""
+    In lockstep, for an objective that is not noisy, an iteration starts
+    with ``_Lockstep.sweep`` when no run accepted in the last one, or none
+    after the scout at which its sweep rolled back.  If the sweep rolls
+    back at scout m, ``scout(m)`` accepts in some run and the scouts after
+    it are swept once more; ``scout`` makes the scouts from the first that
+    this second sweep returns: none if it held.  A rollback at the last
+    scout leaves no scout to sweep again."""
     start = time.perf_counter()
     swarms = [init_population(replace(config, seed=s), objective) for s in seeds]
     batch = _Lockstep(swarms, objective) if lockstep else None
@@ -742,13 +765,20 @@ def _drive(config, seeds, objective, lockstep):
     trace = np.empty((runs, iterations))
     shape = (runs, iterations, config.population, objective.bounds.dimension)
     history = np.empty(shape) if config.record_positions else None
-    quiet = False  # whether no run accepted in the last iteration
+    p = config.population
+    # whether no run accepted in the last iteration, not counting the
+    # accept at the scout its first sweep rolled back to
+    quiet = False
     for t in range(iterations):
         if batch is None:
             step(swarms[0], objective)
         else:
+            first = batch.sweep() if quiet else 0
+            if quiet and first < p:
+                batch.scout(first)
+                first = batch.sweep(first + 1) if first + 1 < p else p
             accepts = batch.accepts
-            for i in range(batch.sweep() if quiet else 0, config.population):
+            for i in range(first, p):
                 batch.scout(i)
             quiet = batch.accepts == accepts and not objective.noisy
         trace[:, t] = [s.global_best_fitness for s in swarms]

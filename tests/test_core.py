@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdopt import core
 from fdopt.core import (
@@ -944,6 +944,8 @@ LOCKSTEP_OBJECTIVES = {
 
 @run_settings
 @given(small_configs, st.sampled_from(sorted(LOCKSTEP_OBJECTIVES)), st.integers(1, 4))
+# one scout: every sweep of these runs rolls back at scout 0, the last one
+@example(RunConfig(population=1, iterations=20, mode=FDO, seed=0), "sphere", 3)
 def test_run_many_equals_run_on_small_swarms(config, name, runs):
     """d = 1, 2 and 3, one to four runs, non-finite values and every setting."""
     objective = LOCKSTEP_OBJECTIVES[name]
@@ -978,22 +980,79 @@ def test_run_many_records_are_views_of_one_block_with_a_share_of_the_time():
 
 def test_run_many_reuses_neighborhood_terms_while_no_run_accepts(monkeypatch):
     """TF9 accepts few moves, so most scouts reuse the terms of their last
-    move; the terms are computed again after any accept of any run."""
+    move; the terms are computed again after any accept of any run.  Each
+    scout whose terms are computed counts, whether ``scout`` computes one
+    scout's or a chain of sweeps every scout's in one call."""
     objective = next(spec for spec in all_objectives() if spec.id == "TF9")
     config = RunConfig(population=10, iterations=60, mode=IFDO, record_positions=True)
     seeds = (3, 4, 5, 6)
     computed = []
     terms = core._Lockstep.proposal_terms
 
-    def counted(self, i):
-        computed.append(i)
-        return terms(self, i)
+    def counted(self, first, stop):
+        computed.extend(range(first, stop))
+        return terms(self, first, stop)
 
     monkeypatch.setattr(core._Lockstep, "proposal_terms", counted)
     records = run_many(config, seeds, objective)
     assert len(computed) < 600  # 10 scouts x 60 iterations computes them 600 times
     for seed, record in zip(seeds, records):
         assert _same_record(record, run(replace(config, seed=seed), objective))
+
+
+def _terms_batch(d):
+    """A lockstep of three IFDO runs of six scouts in [-1, 1]^d, whose
+    neighbor radius is 1/π.  Run 0's scouts lie 0.4 apart in every
+    coordinate, so none has a neighbor.  In run 1 scouts 0 and 1 are each other's only
+    neighbor and share their first coordinate, so each has a cohesion
+    component of 0, below ``COHESION_TOL``; scouts 2 to 5 crowd together.
+    Run 2's scouts are uniform in the box."""
+    rng = np.random.default_rng(5)
+    p = 6
+    lone = np.repeat((-1.0 + 0.4 * np.arange(p))[:, None], d, axis=1)
+    pair = np.vstack([np.full((2, d), 0.5), -0.5 + rng.uniform(-0.05, 0.05, (4, d))])
+    pair[1, 1:] += 0.1
+    spread = rng.uniform(-1.0, 1.0, (p, d))
+    objective = sphere_objective(d)
+    swarms = [SwarmState(positions=x, paces=rng.normal(size=(p, d)),
+                         fitness=np.array([sphere(z) for z in x]),
+                         global_best_position=x[0].copy(), global_best_fitness=sphere(x[0]),
+                         weight_factors=np.full(p, 0.5), mode=IFDO, rng=np.random.default_rng(k))
+              for k, x in enumerate((lone, pair, spread))]
+    return core._Lockstep(swarms, objective), swarms
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [1, 10])
+def test_proposal_terms_over_a_stretch_equal_each_scouts_own(d):
+    """The terms of every scout, and of scouts 2 .. p - 1, in one call have
+    the bits of each scout's own call, and of the ``neighborhood`` that
+    ``step`` proposes with; -0.0 for a scout without neighbors."""
+    batch, swarms = _terms_batch(d)
+    p, nl = 6, batch.nl
+    own = [batch.proposal_terms(i, i + 1) for i in range(p)]
+    assert all(terms.shape == (3, 1, d) for terms in own)
+    contexts = [[neighborhood(i, s, nl) for i in range(p)] for s in swarms]
+    assert all(ctx.neighbor_count == 0 for ctx in contexts[0])
+    tiny = [ctx for ctx in contexts[1] if ctx.neighbor_count
+            and (np.abs(ctx.cohesion) < core.COHESION_TOL).any()]
+    assert len(tiny) >= 2
+    for k, by_scout in enumerate(contexts):
+        for i, ctx in enumerate(by_scout):
+            expected = np.full(d, -0.0)
+            if ctx.neighbor_count:
+                expected = np.zeros(d)
+                np.divide(ctx.alignment, ctx.cohesion, out=expected,
+                          where=np.abs(ctx.cohesion) >= core.COHESION_TOL)
+            assert np.array_equal(_bits(own[i][k, 0]), _bits(expected))
+    for first in (0, 2):
+        stretch = batch.proposal_terms(first, p)
+        assert stretch.shape == (3, p - first, d)
+        for j in range(p - first):
+            assert np.array_equal(_bits(stretch[:, j]), _bits(own[first + j][:, 0]))
 
 
 def test_run_many_keeps_reused_neighborhood_terms_read_only():
@@ -1027,15 +1086,15 @@ def _evaluations_per_scout(objective, config, seeds, monkeypatch):
     def logged(self, i):
         second = self.positions[:, i] + self.paces[:, i]
         if self.nl is not None:
-            second += self.proposal_terms(i)
+            second += self.proposal_terms(i, i + 1)[:, 0]
         lower, upper = objective.bounds.lower, objective.bounds.upper
         log.append((bool(((second < lower) | (second > upper)).any()), []))
         calls[0] = log[-1][1]
         return scout(self, i)
 
-    def logged_sweep(self):
+    def logged_sweep(self, first=0):
         calls[0] = swept
-        return sweep(self)
+        return sweep(self, first)
 
     objective.evaluate_many = counted
     monkeypatch.setattr(core._Lockstep, "scout", logged)
@@ -1077,10 +1136,10 @@ def test_run_many_repairs_crossing_second_tries_after_the_first(mode, monkeypatc
 
 def _sweeps(objective, config, seeds, monkeypatch):
     """Check ``run_many`` against ``run`` bit for bit, with recorded
-    positions, and return what it did in order: "sweep" as a sweep starts
-    and the first scout it leaves to ``scout`` as it ends, ("scout", i) as
-    scout i starts, and the shifted rows of each ``evaluate_many`` call as a
-    list of bytes."""
+    positions, and return what it did in order: ("sweep", first) as a sweep
+    from scout ``first`` starts and the first scout it leaves to ``scout``
+    as it ends, ("scout", i) as scout i starts, and the shifted rows of each
+    ``evaluate_many`` call as a list of bytes."""
     events, objective = [], replace(objective)
     evaluate_many, lockstep = objective.evaluate_many, core._Lockstep
     scout, sweep = lockstep.scout, lockstep.sweep
@@ -1093,9 +1152,9 @@ def _sweeps(objective, config, seeds, monkeypatch):
         events.append(("scout", i))
         return scout(self, i)
 
-    def logged(self):
-        events.append("sweep")
-        events.append(sweep(self))
+    def logged(self, first=0):
+        events.append(("sweep", first))
+        events.append(sweep(self, first))
         return events[-1]
 
     objective.evaluate_many = counted
@@ -1114,7 +1173,7 @@ def _swept_rows(events):
     what it returned."""
     sweeps = []
     for event in events:
-        if event == "sweep":
+        if isinstance(event, tuple) and event[0] == "sweep":
             sweeps.append(([], None))
         elif isinstance(event, int) and sweeps:
             sweeps[-1] = (sweeps[-1][0], event)
@@ -1176,8 +1235,9 @@ def test_run_many_sweeps_every_iteration_after_the_first_when_nothing_is_accepte
     seeds = (3, 4, 5)
     runs, p = len(seeds), config.population
     events = _sweeps(objective, config, seeds, monkeypatch)
-    chain = events[events.index("sweep"):]
-    assert not any(isinstance(event, tuple) for event in chain)  # no scout call
+    chain = events[events.index(("sweep", 0)):]
+    # no scout call, and every sweep starts an iteration
+    assert all(event == ("sweep", 0) for event in chain if isinstance(event, tuple))
     sweeps = _swept_rows(chain)
     assert [held for _, held in sweeps] == [p] * (config.iterations - 1)
     candidates = [_run_candidates(objective, config, seed) for seed in seeds]
@@ -1196,32 +1256,65 @@ def test_run_many_sweeps_every_iteration_after_the_first_when_nothing_is_accepte
         assert max(len(rows) for rows, _ in sweeps[1:]) < 2 * runs * p
 
 
-def _kept_prefixes(events, p):
-    """Per sweep in ``events`` that was rolled back after keeping scouts
-    0 .. m - 1, with 0 < m < p: m and the scouts its iteration then made."""
-    kept = []
-    for k, m in enumerate(events):
-        if isinstance(m, int) and 0 < m < p:
-            scouts = [e[1] for e in events[k + 1:] if isinstance(e, tuple)]
-            # the iteration's scouts count up from m; the next iteration starts at 0
-            made = next((j for j in range(1, len(scouts)) if scouts[j] <= scouts[j - 1]),
-                        len(scouts))
-            kept.append((m, scouts[:made]))
-    return kept
+def _iterations(events):
+    """The scout calls, sweeps and sweep returns of ``events``, from
+    ``_sweeps``, split by iteration.  An iteration opens with a sweep from
+    scout 0, or with scout 0 unless that follows a sweep that returned 0."""
+    iterations = []
+    for event in events:
+        if isinstance(event, list):
+            continue
+        if event in (("sweep", 0), ("scout", 0)) and iterations[-1:] != [[("sweep", 0), 0]]:
+            iterations.append([])
+        iterations[-1].append(event)
+    return iterations
+
+
+def _rollbacks(events, p):
+    """Check the schedule of each iteration in ``events`` and return, per
+    iteration whose sweep rolled back at some scout m, m and what a second
+    sweep, from m + 1, returned (None when m is the last scout).
+
+    An iteration makes every scout in order, or is one sweep that holds, or
+    rolls back at m: then it makes scout m, sweeps m + 1 .. p - 1 if m < p - 1,
+    and makes the scouts from where that sweep returns.  The next iteration
+    opens with a sweep exactly when no run accepted after scout m: the
+    second sweep held, or there was none.  Scout m, and the scout a second
+    sweep rolls back to, accepts in some run."""
+    iterations = _iterations(events)
+    rollbacks = []
+    for t, done in enumerate(iterations):
+        opens = iterations[t + 1][0] if t + 1 < len(iterations) else None
+        if done[0] == ("scout", 0):
+            assert done == [("scout", i) for i in range(p)]
+            continue
+        if done == [("sweep", 0), p]:
+            assert opens in (None, ("sweep", 0))
+            continue
+        m = done[1]
+        order, resumed = [("sweep", 0), m, ("scout", m)], None
+        if m + 1 < p:
+            resumed = done[4] if len(done) > 4 and isinstance(done[4], int) else -1
+            order += [("sweep", m + 1), resumed] + [("scout", i) for i in range(resumed, p)]
+        assert done == order
+        assert opens in (None, ("sweep", 0) if resumed in (None, p) else ("scout", 0))
+        rollbacks.append((m, resumed))
+    return rollbacks
 
 
 def test_run_many_rolls_a_sweep_back_when_some_run_accepts(monkeypatch):
     """On TF9 in IFDO accepts grow rare, so sweeps are tried.  One that holds
     returns p; one in which some run accepts at scout m is undone from
-    there on, and its iteration makes scouts m .. p - 1 alone."""
+    there on, keeps the scouts before m, and its iteration makes scout m,
+    then sweeps the scouts after it once more."""
     objective = next(spec for spec in all_objectives() if spec.id == "TF9")
     config = RunConfig(population=10, iterations=60, mode=IFDO)
     p = config.population
     events = _sweeps(objective, config, (3, 4, 5), monkeypatch)
     assert p in events
-    kept = _kept_prefixes(events, p)
-    assert kept
-    assert all(made == list(range(m, p)) for m, made in kept)
+    rollbacks = _rollbacks(events, p)
+    assert any(m > 0 for m, _ in rollbacks)
+    assert any(resumed is not None for _, resumed in rollbacks)
 
 
 @pytest.mark.parametrize("fid, mode, wf_scope", [("TF9", IFDO, "scout"), ("CEC04", IFDO, "scout"),
@@ -1242,8 +1335,42 @@ def test_run_many_equals_run_through_sweep_chains_and_kept_prefixes(fid, mode, w
     chained = [rows for (_, last), (rows, held) in zip(sweeps, sweeps[1:])
                if last == held == p]
     assert chained and min(map(len, chained)) < 2 * len(seeds) * p
-    kept = _kept_prefixes(events, p)
-    assert kept and all(made == list(range(m, p)) for m, made in kept)
+    assert any(m > 0 for m, _ in _rollbacks(events, p))
+
+
+@pytest.mark.parametrize(
+    "fid, mode, population, seeds",
+    [("TF9", IFDO, 12, (3, 4, 5)), ("CEC04", IFDO, 12, (0, 1, 2)), ("EVAC", FDO, 20, (3, 4, 5)),
+     ("TF1", IFDO, 30, (3, 4, 5)), ("ANTENNA", FDO, 30, (3, 4, 5))],
+)
+def test_run_many_resumes_a_rolled_back_sweep_after_its_accepting_scout(fid, mode, population,
+                                                                        seeds, monkeypatch):
+    """After a rollback at m and scout m, the scouts after m are swept once
+    more.  On TF9 and CEC04 in IFDO, and EVAC in FDO (d = 1, a clamped box
+    and a memoized evaluator), such a sweep holds, and the next iteration
+    opens with a sweep, bit for bit against ``run``.  On TF1 in IFDO and
+    ANTENNA in FDO some run accepts in every iteration, so they never sweep
+    and pay nothing for it."""
+    objective = next(spec for spec in all_objectives() if spec.id == fid)
+    config = RunConfig(population=population, iterations=150, mode=mode)
+    events = _sweeps(objective, config, seeds, monkeypatch)
+    if fid in ("TF1", "ANTENNA"):
+        assert all(event[0] == "scout" for event in events if isinstance(event, tuple))
+    else:
+        assert any(resumed == population for _, resumed in _rollbacks(events, population))
+
+
+@pytest.mark.parametrize("fid, population", [("TF9", 1), ("EVAC", 2)])
+def test_run_many_makes_no_second_sweep_after_a_rollback_at_the_last_scout(fid, population,
+                                                                          monkeypatch):
+    """A sweep that rolls back at the last scout leaves nothing after it to
+    sweep: its iteration makes that scout alone, with no second sweep, so no
+    draw and no chain, and the next iteration opens with a sweep.  In FDO
+    TF9 with one scout and EVAC with two roll back there often."""
+    objective = next(spec for spec in all_objectives() if spec.id == fid)
+    config = RunConfig(population=population, iterations=150, mode=FDO)
+    events = _sweeps(objective, config, (3, 4, 5), monkeypatch)
+    assert (population - 1, None) in _rollbacks(events, population)
 
 
 @pytest.mark.parametrize("fid", ["TF7", "ONE"])
@@ -1254,7 +1381,8 @@ def test_run_many_never_sweeps_a_noisy_objective(fid, monkeypatch):
     objective = next((spec for spec in all_objectives() if spec.id == fid),
                      ObjectiveSpec("ONE", box(3, -1, 1), lambda z, rng: 1.0, noisy=True))
     config = RunConfig(population=8, iterations=20, mode=IFDO)
-    assert "sweep" not in _sweeps(objective, config, (3, 4), monkeypatch)
+    events = _sweeps(objective, config, (3, 4), monkeypatch)
+    assert all(event[0] == "scout" for event in events if isinstance(event, tuple))
 
 
 def _kernel_spy(spec, calls, noisy=False):
@@ -1323,16 +1451,18 @@ def test_lockstep_memo_holds_the_candidates_of_two_iterations_at_most():
 
 
 def test_lockstep_memo_holds_two_iterations_of_candidates_through_sweeps(monkeypatch):
-    """EVAC in FDO sweeps most iterations and rolls some sweeps back after
-    keeping a prefix: as each iteration starts, the memo holds candidates
-    evaluated in the last iteration and in the one before, at most 2Rp of
-    each.  A rolled-back sweep's rows are not among them: its scouts before
-    m reject, and those from m on are made again by ``scout``."""
+    """EVAC in FDO sweeps most iterations, and rolls some sweeps back after
+    keeping a prefix, then sweeps the scouts after the accepting one again,
+    where some of these second sweeps hold and some roll back: as each
+    iteration starts, the memo holds candidates evaluated in the last
+    iteration and in the one before, at most 2Rp of each.  A rolled-back
+    sweep's rows are not among them: its scouts before m reject, and those
+    from m on are made again by ``scout`` or a sweep."""
     objective = replace(next(spec for spec in all_objectives() if spec.id == "EVAC"))
     evaluate_many, lockstep = objective.evaluate_many, core._Lockstep
     scout, sweep = lockstep.scout, lockstep.sweep
-    config, seeds = RunConfig(population=12, iterations=150, mode=FDO), (3, 4, 5)
-    seen, returned, batches = [set(), set()], [], []
+    config, seeds = RunConfig(population=12, iterations=300, mode=FDO), (3, 4, 5)
+    seen, returned, batches, resumed = [set(), set()], [], [], []
 
     def starts_iteration(batch):
         this, last = batch.memo
@@ -1345,11 +1475,16 @@ def test_lockstep_memo_holds_two_iterations_of_candidates_through_sweeps(monkeyp
         seen[-1].update(z.tobytes() for z in np.asarray(X) - objective.shift)
         return evaluate_many(X, rngs, memo)
 
-    def logged_sweep(self):
-        starts_iteration(self)
-        returned.append(sweep(self))
-        if returned[-1] < config.population:
-            seen[-1].clear()  # the memo keeps none of a rolled-back sweep's rows
+    def logged_sweep(self, first=0):
+        if first == 0:
+            starts_iteration(self)
+        seen.append(set())  # the sweep's own rows
+        returned.append(sweep(self, first))
+        rows = seen.pop()
+        if first:
+            resumed.append(returned[-1] == config.population)
+        if returned[-1] == config.population:
+            seen[-1] |= rows  # the memo keeps none of a rolled-back sweep's rows
         return returned[-1]
 
     def logged_scout(self, i):
@@ -1366,3 +1501,4 @@ def test_lockstep_memo_holds_two_iterations_of_candidates_through_sweeps(monkeyp
     starts_iteration(batches[0])
     assert len(seen) == config.iterations + 3
     assert any(isinstance(m, int) and 0 < m < config.population for m in returned)
+    assert True in resumed and False in resumed  # second sweeps that held and rolled back
