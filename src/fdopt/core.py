@@ -11,6 +11,7 @@ share one run loop, ``_drive``, and one accept rule, ``_accept``.
 """
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from math import gamma, isfinite, isnan, pi, sin
 from numbers import Integral, Real
@@ -384,7 +385,12 @@ def _accept(swarm, i, candidate, pace, value):
 
 def run(config, objective):
     """Initialize a swarm and advance it for ``config.iterations`` steps."""
-    return _drive(config, [config.seed], objective, lockstep=False)[0]
+    return _drive(config, 1, objective, lockstep=False)[0]
+
+
+# what the sweeps of a quiet stretch share, from ``_Lockstep._chain``
+_Chain = namedtuple("_Chain", "accepts fws walks crossings block terms fitness fixed known",
+                    defaults=(None,) * 8)
 
 
 class _Lockstep:
@@ -403,30 +409,28 @@ class _Lockstep:
     ``scout`` proposes both tries of every run at once, and a ``batched``
     objective evaluates them in one call when no second try needs a repair.
 
-    ``accepts`` counts the accepts of all runs.  A scout's IFDO
-    ``proposal_terms`` are kept, read-only, with the count they were
-    computed at, and reused until any run of the batch accepts a move.
-    After an iteration in which no run accepted, or none after the scout
-    its sweep rolled back to, ``_drive`` first tries the next one as one
-    ``sweep`` over every scout; never at iteration 0, nor for a noisy
-    objective.  If some run accepts at scout m, the sweep keeps scouts
-    0 .. m - 1, ``scout`` makes scout m, and a second sweep tries scouts
-    m + 1 .. p - 1; ``scout`` makes the scouts from where that one stops.
-    The sweeps of a quiet stretch share one ``chain``, kept like the terms
-    with the count it was built at, which computes the terms of every
-    scout in one call, and evaluate no try again that an earlier sweep of
-    the chain found to reject.
+    ``accepts`` counts the accepts of all runs.  After an iteration in
+    which no run accepted, or none after the scout its sweep rolled back
+    to, ``_drive`` first tries the next one as one ``sweep`` over every
+    scout; never at iteration 0, nor for a noisy objective.  If some run
+    accepts at scout m, the sweep keeps scouts 0 .. m - 1, ``scout`` makes
+    scout m, and a second sweep tries scouts m + 1 .. p - 1; ``scout``
+    makes the scouts from where that one stops.  The sweeps of a quiet
+    stretch share one ``chain``, kept with the count it was built at,
+    and evaluate no try again that an earlier sweep of the chain found to
+    reject.  The chain is the one store of IFDO ``proposal_terms``: it
+    computes every scout's in one call, and ``scout`` reads them from it
+    until any run of the batch accepts a move.
 
     ``memo`` is the pair of dicts, this iteration's and the last one's, in
     which ``ObjectiveSpec.evaluate_many`` keeps the values of an evaluator
-    that is neither noisy nor batched; scout 0, or a sweep from scout 0
-    that holds or keeps scouts, starts a new pair, so it holds at most two
-    iterations of candidates.  A scout
-    that rejected both tries keeps its position and saved pace, so its next
-    second try repeats the same candidate bits, which the memo does not
-    evaluate again.  Such an evaluator draws nothing and its value depends
-    on the candidate's bits alone, so every bit and every draw stays as in
-    ``step``.
+    that is neither noisy nor batched; ``_drive`` starts a new pair with
+    each iteration, so it holds at most two iterations of candidates.  A
+    scout that rejected both tries keeps its position and saved pace, so
+    its next second try repeats the same candidate bits, which the memo
+    does not evaluate again.  Such an evaluator draws nothing and its value
+    depends on the candidate's bits alone, so every bit and every draw
+    stays as in ``step``.
     """
 
     def __init__(self, swarms, objective):
@@ -446,9 +450,7 @@ class _Lockstep:
         bounds, rows = objective.bounds, (2 * len(swarms), 1)
         self.lower, self.upper = (np.tile(b, rows) for b in (bounds.lower, bounds.upper))
         self.nl = neighbor_landscape(bounds) if swarms[0].mode == IFDO else None
-        # per scout: the accept count its proposal terms were computed at, and the terms
-        self.accepts, self.terms = 0, [(-1, None)] * swarms[0].population
-        self.chain = (-1,)  # what a chain of sweeps shares, from ``_chain``
+        self.accepts, self.chain = 0, _Chain(-1)
         self.memo = ({}, {})
         self.rngs, self.batched = [s.rng for s in swarms], objective.batched
 
@@ -470,9 +472,9 @@ class _Lockstep:
         d = 10, 4 runs, 2-core VM; ``BENCH_13.json``, ``fill_vs_compacted``).
 
         The terms read only ``nl`` and the positions and paces, which only
-        ``_accept`` writes, so ``scout`` reuses them until any run of the
-        batch accepts: terms computed again from the same inputs would have
-        the same bits.
+        ``_accept`` writes, so ``scout`` reads the ``chain``'s until any run
+        of the batch accepts: terms computed again from the same inputs
+        would have the same bits.
         """
         positions, state = self.positions, self.state
         runs, p, d = positions.shape
@@ -518,8 +520,6 @@ class _Lockstep:
         """
         swarms, best_positions, objective = self.swarms, self.best_positions, self.objective
         runs = len(swarms)
-        if i == 0:
-            self.memo = ({}, self.memo[0])
         here = self.positions[:, i]
         signed, walks = [], []
         for k, s in enumerate(swarms):
@@ -570,14 +570,14 @@ class _Lockstep:
         self._take(i, rejected, runs, candidates, paces, values)
 
     def _terms(self, i):
-        """Scout ``i``'s kept IFDO ``proposal_terms``, computed again when some
-        run has accepted since they were kept; None in FDO."""
-        seen, extra = self.terms[i]
-        if self.nl is not None and seen != self.accepts:
-            extra = self.proposal_terms(i, i + 1)[:, 0]
-            extra.flags.writeable = False
-            self.terms[i] = self.accepts, extra
-        return extra
+        """Scout ``i``'s IFDO ``proposal_terms``, None in FDO: the ``chain``'s
+        while no run has accepted since it was built, as right after a sweep
+        rolled back, and else computed for this scout alone."""
+        if self.nl is None:
+            return None
+        if self.chain.accepts == self.accepts:
+            return self.chain.terms[:, i]
+        return self.proposal_terms(i, i + 1)[:, 0]
 
     def sweep(self, first=0):
         """Scouts ``first`` .. p - 1 of every run at once, on the guess that
@@ -588,8 +588,8 @@ class _Lockstep:
 
         While nothing is accepted no position, pace, fitness, weight factor
         or global best changes.  So the sweeps of one quiet stretch share
-        one ``_chain``, kept with the ``accepts`` it was built at, as the
-        IFDO terms are, and each sweep makes only the draws of ``_draws``.
+        one ``_chain``, kept with the ``accepts`` it was built at, and each
+        sweep makes only the draws of ``_draws``.
         It copies each scout's first try, +fw or -fw by the sign of its
         ``r``, and its second try out of the chain's block into (R, n, 2, d)
         tries, n = p - ``first``, puts each walk in place of its first try,
@@ -598,22 +598,20 @@ class _Lockstep:
         neither crossed nor walked has the same bits in every sweep of the
         chain, and so the same value: once a sweep that held has evaluated
         it, it is known to reject.  Every other row goes to one
-        ``evaluate_many`` call; with no such row there is no call.  A sweep
-        from scout 0 starts a new memo pair, as ``scout(0)`` would; a later
-        one adds to this iteration's.
+        ``evaluate_many`` call; with no such row there is no call.  Its rows
+        go into a copy of this iteration's memo dict, kept if the sweep holds.
 
         If a value is finite and below its scout's fitness, the sweep is
         rolled back from the first scout m at which some run accepts, since
         ``scout`` moves all runs together.  The generators are restored and
         the draws of scouts ``first`` .. m - 1 made again; those scouts
         reject in every run, so ``scout`` would change nothing else.  The
-        sweep's rows are not kept, and with ``first`` = 0 < m the memo pair
-        is rotated as ``scout(0)`` would.
+        sweep's rows are not kept.
         """
         runs, p, d = self.positions.shape
-        if self.chain[0] != self.accepts:
+        if self.chain.accepts != self.accepts:
             self.chain = self._chain()
-        *_, block, fitness, fixed, known = self.chain
+        chain = self.chain
         saved = [rng.bit_generator.state for rng in self.rngs]
         negative, walked, uniforms = self._draws(first, p)
         # block rows of the tries: row 2j is the j-th swept scout's first try, 2j + 1 its second
@@ -621,7 +619,7 @@ class _Lockstep:
         picks = np.add.outer(3 * swept.ravel(), (0, 2))
         picks[:, 0] += negative
         picks = picks.ravel()
-        tries = block.reshape(-1, d)[picks]
+        tries = chain.block.reshape(-1, d)[picks]
         for row, walk in walked:
             tries[row] = walk
         if uniforms:
@@ -632,36 +630,34 @@ class _Lockstep:
             repaired = tries[hit]
             _repair(repaired, crossed[hit], above[hit], bounds, np.concatenate(uniforms))
             tries[hit] = repaired
-        new = ~known[picks]
+        new = ~chain.known[picks]
         # a copy of this iteration's dict, so that a rollback keeps none of the sweep's rows
-        this, last = self.memo
-        rows, memo = tries[new], (dict(this), last) if first else ({}, this)
+        rows, memo = tries[new], (dict(self.memo[0]), self.memo[1])
         # the objective is not noisy, so no row draws from a generator
         values = np.array(self.objective.evaluate_many(rows, [None] * len(rows), memo)
                           if len(rows) else [])
-        accepted = np.isfinite(values) & (values < fitness[picks[new]])
+        accepted = np.isfinite(values) & (values < chain.fitness[picks[new]])
         if not accepted.any():
-            known[picks] |= fixed[picks]
+            chain.known[picks] |= chain.fixed[picks]
             self.memo = memo
             return p
         for rng, state in zip(self.rngs, saved):
             rng.bit_generator.state = state
         m = first + int((np.flatnonzero(new)[accepted] // 2 % (p - first)).min())
         self._draws(first, m)
-        if first == 0 < m:
-            self.memo = ({}, this)
         return m
 
     def _chain(self):
-        """What the sweeps of a quiet stretch share, with the ``accepts`` it
-        was built at: per run and scout its fitness weight, whether it
-        walks, and how many coordinates of each try of the block cross the
-        box; the read-only (R, p, 3, d) block of each scout's first try with
-        +fw and with -fw, plus its IFDO terms, and its second try; and, flat
-        over the block, each try's scout fitness, whether it is neither
-        crossed nor walked, and whether it is known to reject.  The IFDO
-        terms of all p scouts come from one ``proposal_terms`` call, and
-        each scout keeps its read-only slice as ``scout`` keeps its own."""
+        """What the sweeps of a quiet stretch share, as a ``_Chain`` with the
+        ``accepts`` it was built at: per run and scout its fitness weight,
+        whether it walks, and how many coordinates of each try of the block
+        cross the box; the read-only (R, p, 3, d) block of each scout's
+        first try with +fw and with -fw, plus its IFDO terms, and its second
+        try; the read-only (R, p, d) IFDO terms of all p scouts, from one
+        ``proposal_terms`` call (None in FDO), which ``_draws`` and
+        ``scout`` read; and, flat over the block, each try's scout fitness,
+        whether it is neither crossed nor walked, and whether it is known to
+        reject."""
         swarms, here, best = self.swarms, self.positions, self.best_positions
         bounds, p = self.objective.bounds, here.shape[1]
         fws = [[compute_fitness_weight(s.global_best_fitness, f, wf, s.mode)
@@ -670,18 +666,17 @@ class _Lockstep:
         walks = _walks(fw[..., 0])
         toward = here - best[:, None]
         block = np.stack((toward * fw, toward * -fw, self.paces), axis=2) + here[:, :, None]
-        if self.nl is not None:
-            terms = self.proposal_terms(0, p)
+        terms = None if self.nl is None else self.proposal_terms(0, p)
+        if terms is not None:
             terms.flags.writeable = False
-            self.terms = [(self.accepts, terms[:, i]) for i in range(p)]
             block += terms[:, :, None]
         block.flags.writeable = False
         crossings = ((block > bounds.upper) | (block < bounds.lower)).sum(axis=3)
         fixed = crossings == 0
         fixed[..., :2] &= ~walks[..., None]
-        return (self.accepts, fws, walks.tolist(), crossings.tolist(), block,
-                np.repeat([s.fitness for s in swarms], 3), fixed.ravel(),
-                np.zeros(fixed.size, dtype=bool))
+        return _Chain(self.accepts, fws, walks.tolist(), crossings.tolist(), block, terms,
+                      np.repeat([s.fitness for s in swarms], 3), fixed.ravel(),
+                      np.zeros(fixed.size, dtype=bool))
 
     def _draws(self, start, stop):
         """The draws of scouts ``start`` .. ``stop`` - 1 of every run, in
@@ -696,7 +691,8 @@ class _Lockstep:
         try), and the uniforms."""
         here, best, bounds = self.positions, self.best_positions, self.objective.bounds
         n = here.shape[1] - start
-        _, fws, walks, crossings = self.chain[:4]
+        chain = self.chain
+        fws, walks, crossings, terms = chain.fws, chain.walks, chain.crossings, chain.terms
         negative, walked, uniforms = [], [], []
         for k, rng in enumerate(self.rngs):
             for i in range(start, stop):
@@ -707,9 +703,8 @@ class _Lockstep:
                 count = counts[r < 0.0] + counts[2]
                 if walks[k][i]:
                     row = here[k, i] + compute_pace(here[k, i], best[k], fws[k][i], r, rng)
-                    extra = self._terms(i)
-                    if extra is not None:
-                        row += extra[k]
+                    if terms is not None:
+                        row += terms[k, i]
                     walked.append((2 * (k * n + i - start), row))
                     crossed = (row > bounds.upper) | (row < bounds.lower)
                     count = counts[2] + np.count_nonzero(crossed)
@@ -732,47 +727,49 @@ class _Lockstep:
         return rejected
 
 
-def run_many(config, seeds, objective):
-    """Run ``config`` once per seed in ``seeds``, in lockstep; one RunRecord each.
+def run_many(config, runs, objective):
+    """Run ``config`` ``runs`` times in lockstep, with the seeds ``config.seed``
+    .. ``config.seed + runs - 1``; one RunRecord each.
 
-    Record k equals ``run(replace(config, seed=seeds[k]), objective)`` bit
-    for bit; ``config.seed`` itself is not used.  Each ``wall_time_s`` is
-    the run's share, the batch's wall time divided by the number of runs.
-    With ``record_positions`` the records' positions are views into one
-    (R, iterations, p, d) block.
+    Record k equals ``run(replace(config, seed=config.seed + k), objective)``
+    bit for bit.  Each ``wall_time_s`` is the run's share, the batch's wall
+    time divided by the number of runs.  With ``record_positions`` the
+    records' positions are views into one (R, iterations, p, d) block.
     """
-    if len(seeds) == 0:
-        raise ValueError("run_many needs at least one seed")
-    return _drive(config, seeds, objective, lockstep=True)
+    _require_int("runs", runs, 1)
+    return _drive(config, runs, objective, lockstep=True)
 
 
-def _drive(config, seeds, objective, lockstep):
-    """The run loop of ``run`` and ``run_many``: the swarm of each seed,
-    advanced alone by ``step`` or with the others by ``_Lockstep``, traced
-    (its positions kept in one (R, iterations, p, d) block with
-    ``record_positions``) and returned as a RunRecord with its time share.
-    In lockstep, for an objective that is not noisy, an iteration starts
-    with ``_Lockstep.sweep`` when no run accepted in the last one, or none
-    after the scout at which its sweep rolled back.  If the sweep rolls
-    back at scout m, ``scout(m)`` accepts in some run and the scouts after
-    it are swept once more; ``scout`` makes the scouts from the first that
-    this second sweep returns: none if it held.  A rollback at the last
-    scout leaves no scout to sweep again."""
+def _drive(config, runs, objective, lockstep):
+    """The run loop of ``run`` and ``run_many``: the swarm of each of the
+    ``runs`` seeds from ``config.seed`` on, advanced alone by ``step`` or
+    with the others by ``_Lockstep``, traced (its positions kept in one
+    (R, iterations, p, d) block with ``record_positions``) and returned as
+    a RunRecord with its time share.  In lockstep, each iteration starts a
+    new memo pair, this iteration's dict and the last one's, and for an
+    objective that is not noisy it starts with ``_Lockstep.sweep`` when no
+    run accepted in the last one, or none after the scout at which its
+    sweep rolled back.  If the sweep rolls back at scout m, ``scout(m)``
+    accepts in some run and the scouts after it are swept once more;
+    ``scout`` makes the scouts from the first that this second sweep
+    returns: none if it held.  A rollback at the last scout leaves no scout
+    to sweep again."""
     start = time.perf_counter()
-    swarms = [init_population(replace(config, seed=s), objective) for s in seeds]
+    swarms = [init_population(replace(config, seed=config.seed + k), objective)
+              for k in range(runs)]
     batch = _Lockstep(swarms, objective) if lockstep else None
-    runs, iterations = len(swarms), config.iterations
-    trace = np.empty((runs, iterations))
-    shape = (runs, iterations, config.population, objective.bounds.dimension)
+    trace = np.empty((runs, config.iterations))
+    shape = (runs, config.iterations, config.population, objective.bounds.dimension)
     history = np.empty(shape) if config.record_positions else None
     p = config.population
     # whether no run accepted in the last iteration, not counting the
     # accept at the scout its first sweep rolled back to
     quiet = False
-    for t in range(iterations):
+    for t in range(config.iterations):
         if batch is None:
             step(swarms[0], objective)
         else:
+            batch.memo = ({}, batch.memo[0])
             first = batch.sweep() if quiet else 0
             if quiet and first < p:
                 batch.scout(first)

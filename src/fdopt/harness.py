@@ -65,15 +65,14 @@ def run_experiment(config, objective):
     """Execute ``config.runs`` independent runs and aggregate them.
 
     The runs advance together in ``core.run_many``, one swarm per seed of
-    ``range(base_seed, base_seed + runs)``; run k has the bits ``core.run``
-    gives ``config.run_config(k)`` alone.
+    ``base_seed`` .. ``base_seed + runs - 1``; run k has the bits
+    ``core.run`` gives ``config.run_config(k)`` alone.
     """
     if config.objective_id != objective.id:
         raise ValueError(
             f"config is for objective {config.objective_id!r}, got objective {objective.id!r}"
         )
-    seeds = range(config.base_seed, config.base_seed + config.runs)
-    records = run_many(config.run_config(0), seeds, objective)
+    records = run_many(config.run_config(0), config.runs, objective)
     return ExperimentResult(config=config, records=records)
 
 

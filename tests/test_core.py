@@ -690,10 +690,9 @@ def test_a_plain_function_evaluator_gives_the_bits_of_run():
         id="plain", bounds=box(2, -1, 1), shift=[0.25, -0.5],
         evaluator=lambda z: np.abs(z).sum() + z[0] * z[1],
     )
-    config = RunConfig(population=6, iterations=25, mode=IFDO, record_positions=True)
-    seeds = (2, 3)
-    alone = [run(replace(config, seed=seed), objective) for seed in seeds]
-    for a, b in zip(alone, run_many(config, seeds, objective)):
+    config = RunConfig(population=6, iterations=25, mode=IFDO, seed=2, record_positions=True)
+    alone = [run(replace(config, seed=seed), objective) for seed in (2, 3)]
+    for a, b in zip(alone, run_many(config, 2, objective)):
         assert _same_record(a, b)
     for record in alone:
         assert objective.evaluate(record.best_position) == record.best_fitness
@@ -747,7 +746,7 @@ def test_init_population_counts_every_non_finite_value_as_inf():
 @pytest.mark.parametrize("mode", core.MODES)
 def test_runs_from_non_finite_initial_values_trace_finite_non_increasing_bests(mode):
     config = RunConfig(population=40, iterations=20, mode=mode, seed=5)
-    records = [run(config, NON_FINITE_STRIPS), *run_many(config, [5, 6], NON_FINITE_STRIPS)]
+    records = [run(config, NON_FINITE_STRIPS), *run_many(config, 2, NON_FINITE_STRIPS)]
     assert _same_record(records[0], records[1])
     for record in records:
         assert np.all(np.isfinite(record.trace))
@@ -769,7 +768,7 @@ def test_a_swarm_without_a_finite_initial_value_walks_until_it_finds_one(mode):
     config = RunConfig(population=2, iterations=600, mode=mode, seed=0, record_positions=True)
     start = init_population(config, ISLAND)
     assert np.all(start.fitness == np.inf)
-    records = [run(config, ISLAND), *run_many(config, [0, 1], ISLAND)]
+    records = [run(config, ISLAND), *run_many(config, 2, ISLAND)]
     assert _same_record(records[0], records[1])
     record = records[0]
     assert np.any(record.positions[-1] != start.positions)
@@ -864,18 +863,19 @@ def _same_record(a, b):
     )
 
 
+def _each_is_run(records, config, objective):
+    """Whether record k is ``run`` with seed ``config.seed + k``, bit for bit."""
+    return all(_same_record(record, run(replace(config, seed=config.seed + k), objective))
+               for k, record in enumerate(records))
+
+
 @pytest.mark.parametrize("wf_scope", core.WF_SCOPES)
 @pytest.mark.parametrize("mode", core.MODES)
 @pytest.mark.parametrize("objective", all_objectives(), ids=lambda spec: spec.id)
 def test_run_many_equals_run_bit_for_bit(objective, mode, wf_scope):
-    configs = [
-        RunConfig(population=6, iterations=10, mode=mode, wf_scope=wf_scope, seed=seed,
-                  record_positions=True)
-        for seed in (3, 4, 5)
-    ]
-    records = run_many(configs[0], [c.seed for c in configs], objective)
-    for config, record in zip(configs, records):
-        assert _same_record(record, run(config, objective))
+    config = RunConfig(population=6, iterations=10, mode=mode, wf_scope=wf_scope, seed=3,
+                       record_positions=True)
+    assert _each_is_run(run_many(config, 3, objective), config, objective)
 
 
 def test_run_many_sums_one_dimensional_neighborhoods_run_by_run():
@@ -883,10 +883,8 @@ def test_run_many_sums_one_dimensional_neighborhoods_run_by_run():
     sum over all scouts with non-neighbors filled by -0.0 groups the
     additions differently and changes bits."""
     objective = next(spec for spec in all_objectives() if spec.id == "EVAC")
-    configs = [RunConfig(population=12, iterations=10, mode=IFDO, seed=s) for s in (3, 4, 5)]
-    records = run_many(configs[0], [c.seed for c in configs], objective)
-    for config, record in zip(configs, records):
-        assert _same_record(record, run(config, objective))
+    config = RunConfig(population=12, iterations=10, mode=IFDO, seed=3)
+    assert _each_is_run(run_many(config, 3, objective), config, objective)
 
 
 def _lifted_sphere(z):
@@ -949,29 +947,23 @@ LOCKSTEP_OBJECTIVES = {
 def test_run_many_equals_run_on_small_swarms(config, name, runs):
     """d = 1, 2 and 3, one to four runs, non-finite values and every setting."""
     objective = LOCKSTEP_OBJECTIVES[name]
-    configs = [replace(config, seed=config.seed + k) for k in range(runs)]
-    records = run_many(configs[0], [c.seed for c in configs], objective)
-    for config, record in zip(configs, records):
-        assert _same_record(record, run(config, objective))
+    assert _each_is_run(run_many(config, runs, objective), config, objective)
 
 
-def test_run_many_runs_each_seed_it_is_given():
-    """A repeated seed and seeds out of order: record k is the run of seed k,
-    whatever the config's own seed."""
-    config = RunConfig(population=6, iterations=10, mode=IFDO, record_positions=True)
-    seeds = (7, 3, 3)
-    for seed, record in zip(seeds, run_many(config, seeds, sphere_objective(2))):
-        assert _same_record(record, run(replace(config, seed=seed), sphere_objective(2)))
-
-
-def test_run_many_needs_a_seed():
-    with pytest.raises(ValueError, match="seed"):
-        run_many(RunConfig(), (), sphere_objective(2))
+def test_run_many_runs_the_seeds_from_the_configs_own():
+    """Record k is the run of seed ``config.seed + k``; ``runs`` is a count of
+    at least one."""
+    config = RunConfig(population=6, iterations=10, mode=IFDO, seed=7, record_positions=True)
+    records = run_many(config, 3, sphere_objective(2))
+    assert len(records) == 3 and _each_is_run(records, config, sphere_objective(2))
+    for runs in (0, -1, 1.5, True):
+        with pytest.raises(ValueError, match="runs"):
+            run_many(config, runs, sphere_objective(2))
 
 
 def test_run_many_records_are_views_of_one_block_with_a_share_of_the_time():
     config = RunConfig(population=4, iterations=5, record_positions=True)
-    records = run_many(config, range(3), sphere_objective(2))
+    records = run_many(config, 3, sphere_objective(2))
     block = records[0].positions.base
     assert block.shape == (3, 5, 4, 2)
     assert all(r.positions.base is block for r in records)
@@ -979,13 +971,13 @@ def test_run_many_records_are_views_of_one_block_with_a_share_of_the_time():
 
 
 def test_run_many_reuses_neighborhood_terms_while_no_run_accepts(monkeypatch):
-    """TF9 accepts few moves, so most scouts reuse the terms of their last
-    move; the terms are computed again after any accept of any run.  Each
-    scout whose terms are computed counts, whether ``scout`` computes one
-    scout's or a chain of sweeps every scout's in one call."""
+    """TF9 accepts few moves, so most iterations are sweeps, and a chain of
+    sweeps computes every scout's terms once, in one call, for all of its
+    quiet stretch; ``scout`` computes a scout's own terms only when some run
+    has accepted since the chain was built.  Each scout whose terms are
+    computed counts, whichever call computes them."""
     objective = next(spec for spec in all_objectives() if spec.id == "TF9")
-    config = RunConfig(population=10, iterations=60, mode=IFDO, record_positions=True)
-    seeds = (3, 4, 5, 6)
+    config = RunConfig(population=10, iterations=60, mode=IFDO, seed=3, record_positions=True)
     computed = []
     terms = core._Lockstep.proposal_terms
 
@@ -994,10 +986,9 @@ def test_run_many_reuses_neighborhood_terms_while_no_run_accepts(monkeypatch):
         return terms(self, first, stop)
 
     monkeypatch.setattr(core._Lockstep, "proposal_terms", counted)
-    records = run_many(config, seeds, objective)
+    records = run_many(config, 4, objective)
     assert len(computed) < 600  # 10 scouts x 60 iterations computes them 600 times
-    for seed, record in zip(seeds, records):
-        assert _same_record(record, run(replace(config, seed=seed), objective))
+    assert _each_is_run(records, config, objective)
 
 
 def _terms_batch(d):
@@ -1055,21 +1046,23 @@ def test_proposal_terms_over_a_stretch_equal_each_scouts_own(d):
             assert np.array_equal(_bits(stretch[:, j]), _bits(own[first + j][:, 0]))
 
 
-def test_run_many_keeps_reused_neighborhood_terms_read_only():
-    """A scout that wrote into its kept terms would change them for its next
-    move; the kept terms refuse the write."""
-    objective = sphere_objective(2)
+def test_a_held_sweeps_chain_keeps_its_block_and_terms_read_only():
+    """The sweeps of a chain, and a scout right after one rolls back, read
+    its block and IFDO terms; a write into either would change them for the
+    rest of the chain, so both refuse it."""
+    objective = _constant(2)
     config = RunConfig(population=4, mode=IFDO)
     batch = core._Lockstep([init_population(replace(config, seed=s), objective)
                             for s in (1, 2)], objective)
-    batch.scout(0)
-    seen, extra = batch.terms[0]
-    assert seen == 0 and extra.shape == (2, 2)
-    with pytest.raises(ValueError, match="read-only"):
-        extra += 0.0
+    assert batch.sweep() == config.population
+    chain = batch.chain
+    assert chain.block.shape == (2, 4, 3, 2) and chain.terms.shape == (2, 4, 2)
+    for kept in (chain.block, chain.terms, batch._terms(0)):
+        with pytest.raises(ValueError, match="read-only"):
+            kept += 0.0
 
 
-def _evaluations_per_scout(objective, config, seeds, monkeypatch):
+def _evaluations_per_scout(objective, config, runs, monkeypatch):
     """Check ``run_many`` against ``run`` bit for bit, and return per scout
     call whether some run's second try (position + saved pace, plus the
     IFDO terms) crosses the box, with the row count of each
@@ -1099,10 +1092,9 @@ def _evaluations_per_scout(objective, config, seeds, monkeypatch):
     objective.evaluate_many = counted
     monkeypatch.setattr(core._Lockstep, "scout", logged)
     monkeypatch.setattr(core._Lockstep, "sweep", logged_sweep)
-    records = run_many(config, seeds, objective)
+    records = run_many(config, runs, objective)
     monkeypatch.undo()
-    for seed, record in zip(seeds, records):
-        assert _same_record(record, run(replace(config, seed=seed), objective))
+    assert _each_is_run(records, config, objective)
     return log
 
 
@@ -1111,12 +1103,12 @@ def test_run_many_gives_a_batched_kernel_both_tries_in_one_call(mode, monkeypatc
     """TF1's sphere is written over the last axis: while no second try
     crosses the box, both tries of every run go to one call."""
     objective = next(spec for spec in all_objectives() if spec.id == "TF1")
-    config = RunConfig(population=10, iterations=30, mode=mode, record_positions=True)
-    seeds = (3, 4, 5, 6)
-    log = _evaluations_per_scout(objective, config, seeds, monkeypatch)
+    config = RunConfig(population=10, iterations=30, mode=mode, seed=3, record_positions=True)
+    runs = 4
+    log = _evaluations_per_scout(objective, config, runs, monkeypatch)
     inside = [rows for crosses, rows in log if not crosses]
     assert len(inside) > len(log) // 2
-    assert all(rows == [2 * len(seeds)] for rows in inside)
+    assert all(rows == [2 * runs] for rows in inside)
 
 
 @pytest.mark.parametrize("mode", core.MODES)
@@ -1125,16 +1117,16 @@ def test_run_many_repairs_crossing_second_tries_after_the_first(mode, monkeypatc
     overshoot: where a second try crosses, its repair draws only for a run
     that rejected its first try, so the first tries go to a call of their own."""
     objective = sphere_objective(2, low=0.5, high=1.0)
-    config = RunConfig(population=6, iterations=20, mode=mode, record_positions=True)
-    seeds = (3, 4, 5)
-    log = _evaluations_per_scout(objective, config, seeds, monkeypatch)
+    config = RunConfig(population=6, iterations=20, mode=mode, seed=3, record_positions=True)
+    runs = 3
+    log = _evaluations_per_scout(objective, config, runs, monkeypatch)
     crossing = [rows for crosses, rows in log if crosses]
     assert len(crossing) > len(log) // 2
-    assert all(rows[0] == len(seeds) and len(rows) <= 2 for rows in crossing)
+    assert all(rows[0] == runs and len(rows) <= 2 for rows in crossing)
     assert any(len(rows) == 2 for rows in crossing)
 
 
-def _sweeps(objective, config, seeds, monkeypatch):
+def _sweeps(objective, config, runs, monkeypatch):
     """Check ``run_many`` against ``run`` bit for bit, with recorded
     positions, and return what it did in order: ("sweep", first) as a sweep
     from scout ``first`` starts and the first scout it leaves to ``scout``
@@ -1161,10 +1153,9 @@ def _sweeps(objective, config, seeds, monkeypatch):
     monkeypatch.setattr(core._Lockstep, "scout", logged_scout)
     monkeypatch.setattr(core._Lockstep, "sweep", logged)
     config = replace(config, record_positions=True)
-    records = run_many(config, seeds, objective)
+    records = run_many(config, runs, objective)
     monkeypatch.undo()
-    for seed, record in zip(seeds, records):
-        assert _same_record(record, run(replace(config, seed=seed), objective))
+    assert _each_is_run(records, config, objective)
     return events
 
 
@@ -1231,16 +1222,15 @@ def test_run_many_sweeps_every_iteration_after_the_first_when_nothing_is_accepte
     global best value, so every scout walks, and a later sweep evaluates
     the R·p walks alone.  The box [0.5, 2] keeps the clamp, which can put a
     repaired try on bits it had before."""
-    config = replace(config, population=7, iterations=25)
-    seeds = (3, 4, 5)
-    runs, p = len(seeds), config.population
-    events = _sweeps(objective, config, seeds, monkeypatch)
+    config = replace(config, population=7, iterations=25, seed=3)
+    runs, p = 3, config.population
+    events = _sweeps(objective, config, runs, monkeypatch)
     chain = events[events.index(("sweep", 0)):]
     # no scout call, and every sweep starts an iteration
     assert all(event == ("sweep", 0) for event in chain if isinstance(event, tuple))
     sweeps = _swept_rows(chain)
     assert [held for _, held in sweeps] == [p] * (config.iterations - 1)
-    candidates = [_run_candidates(objective, config, seed) for seed in seeds]
+    candidates = [_run_candidates(objective, config, config.seed + k) for k in range(runs)]
     sent = []
     for t, (rows, _) in enumerate(sweeps, start=1):
         made = {row for by_iteration in candidates for row in by_iteration[t]}
@@ -1308,9 +1298,9 @@ def test_run_many_rolls_a_sweep_back_when_some_run_accepts(monkeypatch):
     there on, keeps the scouts before m, and its iteration makes scout m,
     then sweeps the scouts after it once more."""
     objective = next(spec for spec in all_objectives() if spec.id == "TF9")
-    config = RunConfig(population=10, iterations=60, mode=IFDO)
+    config = RunConfig(population=10, iterations=60, mode=IFDO, seed=3)
     p = config.population
-    events = _sweeps(objective, config, (3, 4, 5), monkeypatch)
+    events = _sweeps(objective, config, 3, monkeypatch)
     assert p in events
     rollbacks = _rollbacks(events, p)
     assert any(m > 0 for m, _ in rollbacks)
@@ -1327,21 +1317,21 @@ def test_run_many_equals_run_through_sweep_chains_and_kept_prefixes(fid, mode, w
     scope) in IFDO, CEC04 in IFDO, and EVAC (d = 1, a clamped box and a
     memoized evaluator) in FDO, each bit for bit against ``run``."""
     objective = next(spec for spec in all_objectives() if spec.id == fid)
-    config = RunConfig(population=12, iterations=150, mode=mode, wf_scope=wf_scope)
-    seeds, p = (3, 4, 5), config.population
-    events = _sweeps(objective, config, seeds, monkeypatch)
+    config = RunConfig(population=12, iterations=150, mode=mode, wf_scope=wf_scope, seed=3)
+    runs, p = 3, config.population
+    events = _sweeps(objective, config, runs, monkeypatch)
     sweeps = _swept_rows(events)
     # after a held sweep the next iteration is a sweep of the same chain
     chained = [rows for (_, last), (rows, held) in zip(sweeps, sweeps[1:])
                if last == held == p]
-    assert chained and min(map(len, chained)) < 2 * len(seeds) * p
+    assert chained and min(map(len, chained)) < 2 * runs * p
     assert any(m > 0 for m, _ in _rollbacks(events, p))
 
 
 @pytest.mark.parametrize(
     "fid, mode, population, seeds",
-    [("TF9", IFDO, 12, (3, 4, 5)), ("CEC04", IFDO, 12, (0, 1, 2)), ("EVAC", FDO, 20, (3, 4, 5)),
-     ("TF1", IFDO, 30, (3, 4, 5)), ("ANTENNA", FDO, 30, (3, 4, 5))],
+    [("TF9", IFDO, 12, range(3, 6)), ("CEC04", IFDO, 12, range(3)), ("EVAC", FDO, 20, range(3, 6)),
+     ("TF1", IFDO, 30, range(3, 6)), ("ANTENNA", FDO, 30, range(3, 6))],
 )
 def test_run_many_resumes_a_rolled_back_sweep_after_its_accepting_scout(fid, mode, population,
                                                                         seeds, monkeypatch):
@@ -1352,8 +1342,8 @@ def test_run_many_resumes_a_rolled_back_sweep_after_its_accepting_scout(fid, mod
     ANTENNA in FDO some run accepts in every iteration, so they never sweep
     and pay nothing for it."""
     objective = next(spec for spec in all_objectives() if spec.id == fid)
-    config = RunConfig(population=population, iterations=150, mode=mode)
-    events = _sweeps(objective, config, seeds, monkeypatch)
+    config = RunConfig(population=population, iterations=150, mode=mode, seed=seeds.start)
+    events = _sweeps(objective, config, len(seeds), monkeypatch)
     if fid in ("TF1", "ANTENNA"):
         assert all(event[0] == "scout" for event in events if isinstance(event, tuple))
     else:
@@ -1368,9 +1358,29 @@ def test_run_many_makes_no_second_sweep_after_a_rollback_at_the_last_scout(fid, 
     draw and no chain, and the next iteration opens with a sweep.  In FDO
     TF9 with one scout and EVAC with two roll back there often."""
     objective = next(spec for spec in all_objectives() if spec.id == fid)
-    config = RunConfig(population=population, iterations=150, mode=FDO)
-    events = _sweeps(objective, config, (3, 4, 5), monkeypatch)
+    config = RunConfig(population=population, iterations=150, mode=FDO, seed=3)
+    events = _sweeps(objective, config, 3, monkeypatch)
     assert (population - 1, None) in _rollbacks(events, population)
+
+
+def test_a_scout_reads_the_chains_terms_while_no_run_has_accepted_since(monkeypatch):
+    """The chain of sweeps is the one store of IFDO terms: ``scout`` m right
+    after a rollback at m, before any run accepts, reads scout m's terms out
+    of it, and computes its own only once some run has accepted since the
+    chain was built.  TF9 in IFDO rolls back often."""
+    objective = next(spec for spec in all_objectives() if spec.id == "TF9")
+    config = RunConfig(population=12, iterations=150, mode=IFDO, seed=3)
+    terms, current = core._Lockstep.proposal_terms, []
+
+    def counted(self, first, stop):
+        if stop - first == 1:
+            current.append(self.chain.accepts == self.accepts)
+        return terms(self, first, stop)
+
+    monkeypatch.setattr(core._Lockstep, "proposal_terms", counted)
+    events = _sweeps(objective, config, 4, monkeypatch)
+    assert _rollbacks(events, config.population)
+    assert current and not any(current)
 
 
 @pytest.mark.parametrize("fid", ["TF7", "ONE"])
@@ -1380,8 +1390,8 @@ def test_run_many_never_sweeps_a_noisy_objective(fid, monkeypatch):
     goes scout by scout."""
     objective = next((spec for spec in all_objectives() if spec.id == fid),
                      ObjectiveSpec("ONE", box(3, -1, 1), lambda z, rng: 1.0, noisy=True))
-    config = RunConfig(population=8, iterations=20, mode=IFDO)
-    events = _sweeps(objective, config, (3, 4), monkeypatch)
+    config = RunConfig(population=8, iterations=20, mode=IFDO, seed=3)
+    events = _sweeps(objective, config, 2, monkeypatch)
     assert all(event[0] == "scout" for event in events if isinstance(event, tuple))
 
 
@@ -1402,13 +1412,10 @@ def test_run_many_evaluates_a_repeated_candidate_of_a_deterministic_kernel_once(
     """A scout that rejected both tries proposes its second try again; the
     lockstep finds its value instead of calling the kernel, and keeps every bit."""
     objective = next(spec for spec in all_objectives() if spec.id == fid)
-    config = RunConfig(population=10, iterations=60, mode=mode, record_positions=True)
-    seeds = (3, 4, 5, 6)
+    config = RunConfig(population=10, iterations=60, mode=mode, seed=3, record_positions=True)
     in_lockstep, candidates = [], []
-    records = run_many(config, seeds, _kernel_spy(objective, in_lockstep))
-    alone = _kernel_spy(objective, candidates)
-    for seed, record in zip(seeds, records):
-        assert _same_record(record, run(replace(config, seed=seed), alone))
+    records = run_many(config, 4, _kernel_spy(objective, in_lockstep))
+    assert _each_is_run(records, config, _kernel_spy(objective, candidates))
     assert len(in_lockstep) < len(candidates)
 
 
@@ -1417,19 +1424,16 @@ def test_run_many_calls_a_raw_evaluator_once_per_candidate(fid):
     """A noisy evaluator draws on every call (TF7) and may keep state, so it
     is not memoized, even where candidates repeat (ANTENNA made noisy)."""
     objective = next(spec for spec in all_objectives() if spec.id == fid)
-    config = RunConfig(population=10, iterations=30, mode=FDO)
-    seeds = (3, 4)
+    config = RunConfig(population=10, iterations=30, mode=FDO, seed=3)
     in_lockstep, candidates = [], []
-    records = run_many(config, seeds, _kernel_spy(objective, in_lockstep, noisy=True))
-    alone = _kernel_spy(objective, candidates, noisy=True)
-    for seed, record in zip(seeds, records):
-        assert _same_record(record, run(replace(config, seed=seed), alone))
+    records = run_many(config, 2, _kernel_spy(objective, in_lockstep, noisy=True))
+    assert _each_is_run(records, config, _kernel_spy(objective, candidates, noisy=True))
     assert len(in_lockstep) == len(candidates)
 
 
 def test_lockstep_memo_holds_the_candidates_of_two_iterations_at_most():
     """After each iteration the memo holds exactly that iteration's candidates
-    and the last one's."""
+    and the last one's.  Each iteration starts a new pair, as ``_drive`` does."""
     objective = next(spec for spec in all_objectives() if spec.id == "ANTENNA")
     evaluate_many, seen = objective.evaluate_many, [set()]
 
@@ -1443,6 +1447,7 @@ def test_lockstep_memo_holds_the_candidates_of_two_iterations_at_most():
                             for s in (3, 4, 5)], objective)
     for _ in range(40):
         seen.append(set())
+        batch.memo = ({}, batch.memo[0])
         for i in range(config.population):
             batch.scout(i)
         this, last = batch.memo
@@ -1454,22 +1459,27 @@ def test_lockstep_memo_holds_two_iterations_of_candidates_through_sweeps(monkeyp
     """EVAC in FDO sweeps most iterations, and rolls some sweeps back after
     keeping a prefix, then sweeps the scouts after the accepting one again,
     where some of these second sweeps hold and some roll back: as each
-    iteration starts, the memo holds candidates evaluated in the last
-    iteration and in the one before, at most 2Rp of each.  A rolled-back
-    sweep's rows are not among them: its scouts before m reject, and those
-    from m on are made again by ``scout`` or a sweep."""
+    iteration ends, the memo holds candidates evaluated in it and in the one
+    before, at most 2Rp of each, and the next iteration starts with a new
+    dict and that iteration's.  A rolled-back sweep's rows are not among
+    them: its scouts before m reject, and those from m on are made again by
+    ``scout`` or a sweep."""
     objective = replace(next(spec for spec in all_objectives() if spec.id == "EVAC"))
     evaluate_many, lockstep = objective.evaluate_many, core._Lockstep
     scout, sweep = lockstep.scout, lockstep.sweep
-    config, seeds = RunConfig(population=12, iterations=300, mode=FDO), (3, 4, 5)
-    seen, returned, batches, resumed = [set(), set()], [], [], []
+    config, runs = RunConfig(population=12, iterations=300, mode=FDO, seed=3), 3
+    seen, returned, left, resumed = [set(), set()], [], [], []
+
+    def ends_iteration(memo):
+        this, last = memo
+        assert set(this) <= seen[-1] and set(last) <= seen[-2]
+        assert max(len(this), len(last)) <= 2 * runs * config.population
 
     def starts_iteration(batch):
-        this, last = batch.memo
-        assert set(this) <= seen[-1] and set(last) <= seen[-2]
-        assert max(len(this), len(last)) <= 2 * len(seeds) * config.population
+        if left:
+            ends_iteration(left[0])
+            assert batch.memo[0] == {} and batch.memo[1] is left[0][0]
         seen.append(set())
-        batches[:] = [batch]
 
     def recorded(X, rngs, memo=None):
         seen[-1].update(z.tobytes() for z in np.asarray(X) - objective.shift)
@@ -1485,6 +1495,7 @@ def test_lockstep_memo_holds_two_iterations_of_candidates_through_sweeps(monkeyp
             resumed.append(returned[-1] == config.population)
         if returned[-1] == config.population:
             seen[-1] |= rows  # the memo keeps none of a rolled-back sweep's rows
+        left[:] = [self.memo]
         return returned[-1]
 
     def logged_scout(self, i):
@@ -1492,13 +1503,14 @@ def test_lockstep_memo_holds_two_iterations_of_candidates_through_sweeps(monkeyp
         if i == 0 and returned[-1:] != [0]:
             starts_iteration(self)
         returned.append(None)
-        return scout(self, i)
+        scout(self, i)
+        left[:] = [self.memo]
 
     objective.evaluate_many = recorded
     monkeypatch.setattr(core._Lockstep, "scout", logged_scout)
     monkeypatch.setattr(core._Lockstep, "sweep", logged_sweep)
-    run_many(config, seeds, objective)
-    starts_iteration(batches[0])
-    assert len(seen) == config.iterations + 3
+    run_many(config, runs, objective)
+    ends_iteration(left[0])
+    assert len(seen) == config.iterations + 2
     assert any(isinstance(m, int) and 0 < m < config.population for m in returned)
     assert True in resumed and False in resumed  # second sweeps that held and rolled back
