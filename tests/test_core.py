@@ -950,12 +950,16 @@ def test_run_many_equals_run_on_small_swarms(config, name, runs):
     assert _each_is_run(run_many(config, runs, objective), config, objective)
 
 
-def test_run_many_runs_the_seeds_from_the_configs_own():
-    """Record k is the run of seed ``config.seed + k``; ``runs`` is a count of
-    at least one."""
+def test_run_many_runs_each_seed_it_is_given():
+    """Record k is the run of seed ``config.seed + k``."""
     config = RunConfig(population=6, iterations=10, mode=IFDO, seed=7, record_positions=True)
     records = run_many(config, 3, sphere_objective(2))
     assert len(records) == 3 and _each_is_run(records, config, sphere_objective(2))
+
+
+def test_run_many_needs_a_seed():
+    """``runs`` is a count of at least one."""
+    config = RunConfig(population=6, iterations=10, mode=IFDO, seed=7)
     for runs in (0, -1, 1.5, True):
         with pytest.raises(ValueError, match="runs"):
             run_many(config, runs, sphere_objective(2))
