@@ -6,7 +6,6 @@ explicit flags, so identical invocations reproduce identical outputs.
 """
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import fields
@@ -166,17 +165,17 @@ def cmd_run(args):
 def cmd_bench(args):
     suite = classical.catalog() if args.suite == "classical" else cec2019.cec_catalog()
     results = []
-    # without --out the rows go to the null device, so there is one write path
-    with open(args.out or os.devnull, "w", newline="") as out_fh:
-        writer = csv.writer(out_fh)
-        writer.writerow(harness.SUMMARY_COLUMNS)
+
+    def rows():
         for spec in suite:
             for mode in MODES:
                 result = _experiment(args, spec, mode)
                 results.append(result)
                 print(f"{spec.id} {mode} mean={result.mean:.10e} std={result.std:.10e}", flush=True)
-                writer.writerow(harness.summary_csv_row(result))
-                out_fh.flush()
+                yield harness.summary_csv_row(result)
+
+    # without --out the rows go to the null device, so there is one write path
+    harness._write_csv(args.out or os.devnull, harness.SUMMARY_COLUMNS, rows())
     print(harness.format_comparison(harness.compare(results)))
     return 0
 

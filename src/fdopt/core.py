@@ -418,9 +418,8 @@ class _Lockstep:
     makes the scouts from where that one stops.  The sweeps of a quiet
     stretch share one ``chain``, kept with the count it was built at,
     and evaluate no try again that an earlier sweep of the chain found to
-    reject.  The chain is the one store of IFDO ``proposal_terms``: it
-    computes every scout's in one call, and ``scout`` reads them from it
-    until any run of the batch accepts a move.
+    reject.  The chain computes the IFDO ``proposal_terms`` of every scout
+    in one call, for its sweeps alone; ``scout`` computes its own scout's.
 
     ``memo`` is the pair of dicts, this iteration's and the last one's, in
     which ``ObjectiveSpec.evaluate_many`` keeps the values of an evaluator
@@ -472,9 +471,8 @@ class _Lockstep:
         d = 10, 4 runs, 2-core VM; ``BENCH_13.json``, ``fill_vs_compacted``).
 
         The terms read only ``nl`` and the positions and paces, which only
-        ``_accept`` writes, so ``scout`` reads the ``chain``'s until any run
-        of the batch accepts: terms computed again from the same inputs
-        would have the same bits.
+        ``_accept`` writes, so the terms of a ``chain`` hold for all of its
+        sweeps, which accept nothing.
         """
         positions, state = self.positions, self.state
         runs, p, d = positions.shape
@@ -504,10 +502,11 @@ class _Lockstep:
 
         Both tries are proposed at once, in one (2R, d) block: row k is run
         k's first try, position + fresh pace, and row R + k its second,
-        position + saved pace, each plus the same IFDO terms.  One bounds
-        test covers the block, and the first-try rows are repaired.  A
-        ``batched`` objective (``ObjectiveSpec.batched``) gets the whole
-        block in one ``evaluate_many`` call, unless some second-try row
+        position + saved pace, each plus the scout's IFDO terms from its own
+        ``proposal_terms`` call.  One bounds test covers the block, and the
+        first-try rows are repaired.  A ``batched`` objective
+        (``ObjectiveSpec.batched``) gets the whole block in one
+        ``evaluate_many`` call, unless some second-try row
         crossed the box: its repair draws, and only a run that rejected its
         first try may draw it.  Any other objective, or a block with such a
         row, is evaluated in two calls: the first tries, then the repaired
@@ -534,10 +533,9 @@ class _Lockstep:
         paces = np.concatenate((fresh, self.paces[:, i]))
         for k, pace in walks:
             paces[k] = pace
-        extra = self._terms(i)
         candidates = here + paces.reshape(2, runs, -1)
-        if extra is not None:
-            candidates += extra
+        if self.nl is not None:
+            candidates += self.proposal_terms(i, i + 1)[:, 0]
         candidates = candidates.reshape(paces.shape)
         bounds, rngs = objective.bounds, self.rngs
         above = candidates > self.upper
@@ -568,16 +566,6 @@ class _Lockstep:
                 candidates[rows], [rngs[k] for k in rejected], self.memo
             )
         self._take(i, rejected, runs, candidates, paces, values)
-
-    def _terms(self, i):
-        """Scout ``i``'s IFDO ``proposal_terms``, None in FDO: the ``chain``'s
-        while no run has accepted since it was built, as right after a sweep
-        rolled back, and else computed for this scout alone."""
-        if self.nl is None:
-            return None
-        if self.chain.accepts == self.accepts:
-            return self.chain.terms[:, i]
-        return self.proposal_terms(i, i + 1)[:, 0]
 
     def sweep(self, first=0):
         """Scouts ``first`` .. p - 1 of every run at once, on the guess that
@@ -654,8 +642,8 @@ class _Lockstep:
         cross the box; the read-only (R, p, 3, d) block of each scout's
         first try with +fw and with -fw, plus its IFDO terms, and its second
         try; the read-only (R, p, d) IFDO terms of all p scouts, from one
-        ``proposal_terms`` call (None in FDO), which ``_draws`` and
-        ``scout`` read; and, flat over the block, each try's scout fitness,
+        ``proposal_terms`` call (None in FDO), which ``_draws`` adds to a
+        walked try; and, flat over the block, each try's scout fitness,
         whether it is neither crossed nor walked, and whether it is known to
         reject."""
         swarms, here, best = self.swarms, self.positions, self.best_positions

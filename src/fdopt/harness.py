@@ -99,14 +99,18 @@ def _line_template(ints, floats):
 
 
 def _write_csv(path, header, rows=(), lines=()):
-    """The one CSV writer of every export: ``header`` and ``rows`` through
-    ``csv.writer``, which quotes free text, then the preformatted ``lines``
-    as they are produced."""
+    """The one CSV writer of every export and of ``fdopt bench``'s table:
+    ``header`` and ``rows`` through ``csv.writer``, which quotes free text,
+    then the preformatted ``lines``, each as it is produced.  Each row is
+    flushed, so a stream of rows that stops early leaves the finished ones
+    on disk."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(rows)
+            for row in rows:
+                writer.writerow(row)
+                fh.flush()
             fh.writelines(lines)
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc

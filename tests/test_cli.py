@@ -187,6 +187,37 @@ def test_bench_partial_csv(tmp_path, capsys):
     assert {row["mode"] for row in rows} == {"fdo", "ifdo"}
 
 
+def test_bench_leaves_each_finished_row_on_disk(tmp_path, monkeypatch, capsys):
+    """README's promise: a suite that stops early leaves its finished rows
+    on disk, since each row is flushed as its experiment ends.  So before
+    experiment k starts, the table holds k data rows."""
+    from fdopt import harness
+
+    out, seen = tmp_path / "bench.csv", []
+    run_experiment = harness.run_experiment
+
+    def spy(config, objective):
+        with open(out, newline="") as fh:
+            seen.append(len(list(csv.DictReader(fh))))
+        return run_experiment(config, objective)
+
+    monkeypatch.setattr(harness, "run_experiment", spy)
+    argv = ["bench", "--suite", "cec2019", "--runs", "1", "--agents", "4", "--iters", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert seen == list(range(20))
+
+
+def test_bench_unwritable_out_is_an_io_error_before_any_experiment(tmp_path, monkeypatch, capsys):
+    from fdopt import harness
+
+    monkeypatch.setattr(harness, "run_experiment", lambda *args: pytest.fail("an experiment ran"))
+    bad = tmp_path / "nonexistent" / "bench.csv"
+    assert main(["bench", "--suite", "cec2019", "--out", str(bad)]) == IO_ERROR
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err and "Traceback" not in captured.err and captured.out == ""
+
+
 def test_antenna_smoke(capsys):
     code = main(["antenna", "--algo", "ifdo", "--seed", "1", "--agents", "8", "--iters", "20"])
     out = capsys.readouterr().out

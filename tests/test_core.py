@@ -1,5 +1,6 @@
 """Unit tests for the optimizer engine."""
 
+import copy
 from dataclasses import fields, replace
 
 import numpy as np
@@ -708,6 +709,31 @@ def test_run_records_positions():
     assert np.all(record.positions >= -1.0) and np.all(record.positions <= 1.0)
 
 
+@pytest.mark.parametrize("fid, mode", [("TF9", IFDO), ("ANTENNA", FDO)])
+def test_run_evaluates_every_candidate_through_the_specs_evaluate(fid, mode, monkeypatch):
+    """The benchmark counts a rebuilt run's evaluations by wrapping
+    ``evaluate`` on a ``copy.copy`` of the spec, so ``run`` calls that once
+    per initial agent and once per try, each try being one
+    ``enforce_bounds`` call."""
+    objective = copy.copy(next(spec for spec in all_objectives() if spec.id == fid))
+    evaluate, enforce, evaluations, tries = objective.evaluate, core.enforce_bounds, [], []
+
+    def counted_evaluate(*args, **kwargs):
+        evaluations.append(1)
+        return evaluate(*args, **kwargs)
+
+    def counted_enforce(*args):
+        tries.append(1)
+        return enforce(*args)
+
+    objective.evaluate = counted_evaluate
+    monkeypatch.setattr(core, "enforce_bounds", counted_enforce)
+    config = RunConfig(population=10, iterations=40, mode=mode, seed=8000)
+    run(config, objective)
+    assert len(tries) > config.population * config.iterations
+    assert len(evaluations) == config.population + len(tries)
+
+
 def test_non_finite_fitness_never_accepted():
     calls = {"n": 0}
 
@@ -977,9 +1003,9 @@ def test_run_many_records_are_views_of_one_block_with_a_share_of_the_time():
 def test_run_many_reuses_neighborhood_terms_while_no_run_accepts(monkeypatch):
     """TF9 accepts few moves, so most iterations are sweeps, and a chain of
     sweeps computes every scout's terms once, in one call, for all of its
-    quiet stretch; ``scout`` computes a scout's own terms only when some run
-    has accepted since the chain was built.  Each scout whose terms are
-    computed counts, whichever call computes them."""
+    quiet stretch; ``scout`` computes its own scout's terms in every call.
+    Each scout whose terms are computed counts, whichever call computes
+    them."""
     objective = next(spec for spec in all_objectives() if spec.id == "TF9")
     config = RunConfig(population=10, iterations=60, mode=IFDO, seed=3, record_positions=True)
     computed = []
@@ -1051,9 +1077,8 @@ def test_proposal_terms_over_a_stretch_equal_each_scouts_own(d):
 
 
 def test_a_held_sweeps_chain_keeps_its_block_and_terms_read_only():
-    """The sweeps of a chain, and a scout right after one rolls back, read
-    its block and IFDO terms; a write into either would change them for the
-    rest of the chain, so both refuse it."""
+    """The sweeps of a chain read its block and IFDO terms; a write into
+    either would change them for the rest of the chain, so both refuse it."""
     objective = _constant(2)
     config = RunConfig(population=4, mode=IFDO)
     batch = core._Lockstep([init_population(replace(config, seed=s), objective)
@@ -1061,7 +1086,7 @@ def test_a_held_sweeps_chain_keeps_its_block_and_terms_read_only():
     assert batch.sweep() == config.population
     chain = batch.chain
     assert chain.block.shape == (2, 4, 3, 2) and chain.terms.shape == (2, 4, 2)
-    for kept in (chain.block, chain.terms, batch._terms(0)):
+    for kept in (chain.block, chain.terms):
         with pytest.raises(ValueError, match="read-only"):
             kept += 0.0
 
@@ -1367,24 +1392,25 @@ def test_run_many_makes_no_second_sweep_after_a_rollback_at_the_last_scout(fid, 
     assert (population - 1, None) in _rollbacks(events, population)
 
 
-def test_a_scout_reads_the_chains_terms_while_no_run_has_accepted_since(monkeypatch):
-    """The chain of sweeps is the one store of IFDO terms: ``scout`` m right
-    after a rollback at m, before any run accepts, reads scout m's terms out
-    of it, and computes its own only once some run has accepted since the
-    chain was built.  TF9 in IFDO rolls back often."""
+def test_every_scout_computes_its_own_terms(monkeypatch):
+    """The chain's IFDO terms serve only its sweeps: every ``scout`` call
+    computes its own scout's terms, also right after a sweep rolled back,
+    before any run has accepted since the chain was built.  TF9 in IFDO
+    rolls back often."""
     objective = next(spec for spec in all_objectives() if spec.id == "TF9")
     config = RunConfig(population=12, iterations=150, mode=IFDO, seed=3)
-    terms, current = core._Lockstep.proposal_terms, []
+    terms, own = core._Lockstep.proposal_terms, []
 
     def counted(self, first, stop):
         if stop - first == 1:
-            current.append(self.chain.accepts == self.accepts)
+            own.append(first)
         return terms(self, first, stop)
 
     monkeypatch.setattr(core._Lockstep, "proposal_terms", counted)
     events = _sweeps(objective, config, 4, monkeypatch)
     assert _rollbacks(events, config.population)
-    assert current and not any(current)
+    scouts = [event[1] for event in events if isinstance(event, tuple) and event[0] == "scout"]
+    assert own == scouts
 
 
 @pytest.mark.parametrize("fid", ["TF7", "ONE"])

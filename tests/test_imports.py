@@ -252,11 +252,11 @@ def _write_sites(sources):
 
 
 def test_files_are_written_at_the_known_sites_only():
-    """Every experiment file goes through harness._write_csv or the one JSON site of
-    harness.export_results; the streamed bench table and scenario files are the others."""
+    """Every experiment file and the streamed bench table go through
+    harness._write_csv or the one JSON site of harness.export_results;
+    scenario files are the other."""
     expected = [
         ("applications.py", "save_scenario"),
-        ("cli.py", "cmd_bench"),
         ("harness.py", "_write_csv"),
         ("harness.py", "export_results"),
     ]
